@@ -7,7 +7,7 @@ from .commonsense import CkgStore, has_property_ckg, load_assertions
 from .definitions import (DefinitionStore, expand_supertypes, has_property_dbm,
                           load_definitions)
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
-from .index import ExplicitVectorSpace, Posting, SparseVector, cosine
+from .index import ExplicitVectorSpace, Posting
 from .text import normalize
 from .types import MembershipResult, Term, Triple
 from .visual import VisualStore, has_property_vfm, load_scene_graphs
@@ -18,8 +18,8 @@ __all__ = [
     "load_assertions", "DefinitionStore", "expand_supertypes",
     "has_property_dbm", "load_definitions", "ConfigError", "DataFormatError",
     "DiscrimAttrError", "EvidenceError", "ExplicitVectorSpace", "Posting",
-    "SparseVector", "cosine", "normalize", "MembershipResult", "Term",
-    "Triple", "VisualStore", "has_property_vfm", "load_scene_graphs",
+    "normalize", "MembershipResult", "Term", "Triple", "VisualStore",
+    "has_property_vfm", "load_scene_graphs",
 ]
 
 __version__ = "0.1.0"

@@ -193,22 +193,37 @@ def _build_explanation(triple, component, pivot_result, template_id=None):
     )
 
 
+def _fire(component, triple: Triple, stores: StoreSet, config: CascadeConfig):
+    """The pivot's membership result when the stage fires for the triple
+    (attr in pivot, attr not in comparison), else None. The comparison is
+    asked only when the pivot holds."""
+    pivot_result = member(component, triple.pivot, triple.attribute, stores, config)
+    if pivot_result.member and not member(
+        component, triple.comparison, triple.attribute, stores, config
+    ).member:
+        return pivot_result
+    return None
+
+
 def classify(triple: Triple, stores: StoreSet,
-             config: CascadeConfig = CascadeConfig()) -> Verdict:
+             config: CascadeConfig = CascadeConfig(), fired=None) -> Verdict:
     """Run the cascade; first stage with (attr in pivot) and (attr not in
-    comparison) decides. No stage firing means not discriminative."""
+    comparison) decides. No stage firing means not discriminative.
+
+    `fired`, when given, maps every component to what `_fire` returned for
+    this triple, so a caller that has asked every stage already does not
+    ask again."""
     for component in config.stage_order:
-        pivot_result = member(component, triple.pivot, triple.attribute, stores, config)
-        if not pivot_result.member:
-            continue
-        comparison_result = member(component, triple.comparison, triple.attribute, stores, config)
-        if comparison_result.member:
-            continue
-        return Verdict(
-            discriminative=True,
-            deciding_component=component,
-            explanation=_build_explanation(triple, component, pivot_result),
-        )
+        if fired is None:
+            pivot_result = _fire(component, triple, stores, config)
+        else:
+            pivot_result = fired[component]
+        if pivot_result is not None:
+            return Verdict(
+                discriminative=True,
+                deciding_component=component,
+                explanation=_build_explanation(triple, component, pivot_result),
+            )
     return Verdict(discriminative=False)
 
 
@@ -217,15 +232,14 @@ def classify_batch(triples, stores: StoreSet, config: CascadeConfig = CascadeCon
 
     Returns (results, bitmaps): results is [(triple, verdict)]; bitmaps maps
     each component to its standalone per-triple decision, for overlap and
-    per-category analysis.
+    per-category analysis. Each membership is asked at most once per
+    triple; the verdict and the bitmaps both derive from those answers.
     """
     results = []
     bitmaps = {c: [] for c in COMPONENTS}
     for triple in triples:
-        results.append((triple, classify(triple, stores, config)))
+        fired = {c: _fire(c, triple, stores, config) for c in COMPONENTS}
+        results.append((triple, classify(triple, stores, config, fired)))
         for component in COMPONENTS:
-            decided = bool(
-                member(component, triple.pivot, triple.attribute, stores, config)
-            ) and not member(component, triple.comparison, triple.attribute, stores, config)
-            bitmaps[component].append(decided)
+            bitmaps[component].append(fired[component] is not None)
     return results, bitmaps

@@ -228,10 +228,7 @@ def _load_stores(cfg) -> StoreSet:
     for f in STORE_FILES.values():
         if not (out / f).exists():
             raise DataFormatError(f"missing index file; run `discrimattr build`", path=str(out / f))
-    lemma_table, stopwords = _load_vocab(cfg)
-    dstore = definitions.store_from_dict(
-        load_json(out / STORE_FILES["definitions"]), lemma_table, stopwords
-    )
+    dstore = definitions.store_from_dict(load_json(out / STORE_FILES["definitions"]))
     cstore = CkgStore.from_dict(load_json(out / STORE_FILES["commonsense"]))
     vstore = VisualStore.from_dict(load_json(out / STORE_FILES["visual"]))
     return StoreSet(definitions=dstore, commonsense=cstore, visual=vstore)
@@ -266,12 +263,11 @@ def _write_verdicts(results, out):
         for triple, verdict in results:
             fh.write(json.dumps(verdict.to_dict(triple), sort_keys=True, ensure_ascii=False))
             fh.write("\n")
-    with open(out / "semeval.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with open(out / "semeval.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         for triple, verdict in results:
-            fh.write(
-                f"{triple.pivot.surface},{triple.comparison.surface},"
-                f"{triple.attribute.surface},{1 if verdict.discriminative else 0}\n"
-            )
+            writer.writerow([triple.pivot.surface, triple.comparison.surface,
+                             triple.attribute.surface, 1 if verdict.discriminative else 0])
 
 
 def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:

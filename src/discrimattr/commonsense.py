@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 from .errors import DataFormatError
-from .index import ExplicitVectorSpace
 from .text import lemma_of
 from .types import MembershipResult, Term
 
@@ -46,31 +45,33 @@ def _concept_matches(query_lemma: str, concept: str, token_match: bool) -> bool:
 class CkgStore:
     """Immutable after load; concurrent readers are safe."""
 
-    def __init__(self, assertions, by_concept, space, skipped=0):
+    def __init__(self, assertions, by_pair, skipped=0):
         self.assertions = assertions
-        self.by_concept = by_concept  # lemma -> sorted assertion indices
-        self.space = space
+        # (lemma, lemma) -> sorted indices of the assertions linking the two,
+        # keyed in both orders; a self-loop is listed once
+        self.by_pair = by_pair
         self.skipped = skipped
 
     @classmethod
     def build(cls, assertions, skipped=0):
         assertions = [a for a in assertions if not a.relation.startswith("Not")]
         assertions = sorted(set(assertions), key=lambda a: (a.relation, a.start, a.end, a.weight))
-        by_concept = {}
-        neighbors = {}
+        by_pair = {}
         for i, a in enumerate(assertions):
-            for concept, other in ((a.start, a.end), (a.end, a.start)):
-                by_concept.setdefault(concept, []).append(i)
-                neighbors.setdefault(concept, set()).add(other)
-        # each concept's neighbors form one idf-weighted document
-        documents = [(concept, "neighbors", sorted(ns)) for concept, ns in sorted(neighbors.items())]
-        space = ExplicitVectorSpace.build(documents)
-        return cls(assertions=assertions, by_concept=by_concept, space=space, skipped=skipped)
+            by_pair.setdefault((a.start, a.end), []).append(i)
+            if a.end != a.start:
+                by_pair.setdefault((a.end, a.start), []).append(i)
+        return cls(assertions=assertions, by_pair=by_pair, skipped=skipped)
 
     def has_property(self, term: Term, attribute: Term, token_match: bool = False) -> MembershipResult:
-        """True iff any assertion connects the two lemmas, either direction."""
+        """True iff any assertion connects the two lemmas, either direction.
+        Exact matching reads the pair map; token matching scans."""
+        if token_match:
+            candidates = range(len(self.assertions))
+        else:
+            candidates = self.by_pair.get((term.lemma, attribute.lemma), ())
         evidence = []
-        for i in self.by_concept.get(term.lemma, []) if not token_match else range(len(self.assertions)):
+        for i in candidates:
             a = self.assertions[i]
             if _concept_matches(term.lemma, a.start, token_match) and _concept_matches(
                 attribute.lemma, a.end, token_match

@@ -3,7 +3,8 @@
 Ingests role-labeled dictionary definitions (JSON-lines, one record per
 line: {"term", "sense", "segments": [{"role", "text"}]}) into a definition
 graph plus an inverted index, and answers membership queries with upward
-supertype-chain inheritance.
+supertype-chain inheritance. Text is normalized once, at ingest; a store
+reloaded from its index keeps the build-time vocabulary.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ DEFAULT_MAX_DEPTH = 3
 class Segment:
     role: str
     text: str
-    tokens: tuple[Term, ...]
+    field: str  # the segment's field in the inverted index: sense/role[#n]
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,14 @@ class DefinitionEvidence:
 
 
 class DefinitionStore:
-    """Immutable after load; concurrent readers are safe."""
+    """Immutable after load, except for a cache of grouped postings that
+    fills per attribute on first query; concurrent readers are safe."""
 
     def __init__(self, records, supertype_edges, space):
         self.records = records  # lemma -> [DefinitionRecord]
         self.supertype_edges = supertype_edges  # lemma -> sorted tuple of lemmas
         self.space = space
+        self._fields = {}  # attribute lemma -> {document_id: {field}}
 
     def expand(self, term: Term, max_depth: int = DEFAULT_MAX_DEPTH):
         """Breadth-first supertype expansion.
@@ -100,11 +103,21 @@ class DefinitionStore:
 
     def has_property(self, term: Term, attribute: Term, max_depth: int = DEFAULT_MAX_DEPTH) -> MembershipResult:
         """True iff the attribute lemma occurs in any segment of the term's
-        definitions or of its supertype ancestors within max_depth."""
+        definitions or of its supertype ancestors within max_depth.
+
+        The attribute's postings are intersected with the supertype
+        expansion; evidence follows expansion order, then segment order."""
+        fields = self._fields.get(attribute.lemma)
+        if fields is None:
+            fields = {}
+            for p in self.space.documents_containing(attribute.lemma):
+                fields.setdefault(p.document_id, set()).add(p.field)
+            self._fields[attribute.lemma] = fields
         evidence = []
-        for rec, path in self.expand(term, max_depth):
+        for rec, path in self.expand(term, max_depth) if fields else ():
+            found = fields.get(rec.term.lemma, ())
             for seg in rec.segments:
-                if any(t.lemma == attribute.lemma for t in seg.tokens):
+                if seg.field in found:
                     evidence.append(
                         DefinitionEvidence(
                             term=rec.term.lemma,
@@ -143,6 +156,14 @@ def has_property_dbm(term, attribute, store, max_depth=DEFAULT_MAX_DEPTH):
     return store.has_property(term, attribute, max_depth)
 
 
+def _field(sense_id, role, role_counts):
+    """The segment's index field. Repeated roles within one sense get an
+    ordinal suffix to keep (document_id, field) pairs unique."""
+    n = role_counts.get(role, 0)
+    role_counts[role] = n + 1
+    return f"{sense_id}/{role}" if n == 0 else f"{sense_id}/{role}#{n}"
+
+
 def _build_store(raw_records, lemma_table, stopwords):
     records = {}
     edges = {}
@@ -159,13 +180,9 @@ def _build_store(raw_records, lemma_table, stopwords):
         for role, text in segments:
             if role not in SEMANTIC_ROLES:
                 raise DataFormatError(f"unknown semantic role {role!r}", path=where[0], line=where[1])
-            tokens = tuple(normalize(text, lemma_table, stopwords))
-            segs.append(Segment(role=role, text=text, tokens=tokens))
-            # repeated roles within one sense get an ordinal suffix to keep
-            # (document_id, field) pairs unique
-            n = role_counts.get(role, 0)
-            role_counts[role] = n + 1
-            fld = f"{sense_id}/{role}" if n == 0 else f"{sense_id}/{role}#{n}"
+            tokens = normalize(text, lemma_table, stopwords)
+            fld = _field(sense_id, role, role_counts)
+            segs.append(Segment(role=role, text=text, field=fld))
             documents.append((term.lemma, fld, [t.lemma for t in tokens]))
             if role == "supertype" and tokens:
                 # NP-head heuristic: the last non-stopword token is the genus.
@@ -201,16 +218,21 @@ def load_definitions(path, lemma_table, stopwords) -> DefinitionStore:
     return _build_store(raw, lemma_table, stopwords)
 
 
-def store_from_dict(data, lemma_table, stopwords) -> DefinitionStore:
-    raw = []
-    for recs in data["records"].values():
+def store_from_dict(data) -> DefinitionStore:
+    """Decode a persisted store: records, supertype edges and the inverted
+    index are read back as built, with no re-normalization."""
+    records = {}
+    for lemma, recs in data["records"].items():
+        out = records[lemma] = []
         for rec in recs:
-            raw.append(
-                (
-                    rec["term"],
-                    rec["sense"],
-                    [(s["role"], s["text"]) for s in rec["segments"]],
-                    (None, None),
-                )
+            role_counts = {}
+            segs = tuple(
+                Segment(role=s["role"], text=s["text"],
+                        field=_field(rec["sense"], s["role"], role_counts))
+                for s in rec["segments"]
             )
-    return _build_store(raw, lemma_table, stopwords)
+            out.append(DefinitionRecord(term=Term(rec["term"], lemma),
+                                        sense_id=rec["sense"], segments=segs))
+    edges = {k: tuple(v) for k, v in data["supertype_edges"].items()}
+    return DefinitionStore(records=records, supertype_edges=edges,
+                           space=ExplicitVectorSpace.from_dict(data["space"]))

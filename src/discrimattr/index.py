@@ -27,34 +27,6 @@ class Posting:
             raise ValueError("posting weight must be nonnegative")
 
 
-class SparseVector:
-    """Nonnegative weights keyed by lemma; zero entries are never stored."""
-
-    def __init__(self, entries=None):
-        self.entries = {k: v for k, v in (entries or {}).items() if v != 0.0}
-
-    def __eq__(self, other):
-        return isinstance(other, SparseVector) and self.entries == other.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __bool__(self):
-        return bool(self.entries)
-
-
-def cosine(v1: SparseVector, v2: SparseVector) -> float:
-    """Cosine similarity over shared lemmas; 0 if either vector is empty."""
-    if not v1 or not v2:
-        return 0.0
-    dot = sum(w * v2.entries[k] for k, w in v1.entries.items() if k in v2.entries)
-    n1 = math.sqrt(sum(w * w for w in v1.entries.values()))
-    n2 = math.sqrt(sum(w * w for w in v2.entries.values()))
-    if n1 == 0.0 or n2 == 0.0:
-        return 0.0
-    return min(1.0, dot / (n1 * n2))
-
-
 class ExplicitVectorSpace:
     """Inverted index over lemmas with idf posting weights.
 
@@ -112,19 +84,6 @@ class ExplicitVectorSpace:
 
     def documents_containing(self, lemma: str) -> list[Posting]:
         return self.postings.get(lemma, [])
-
-    def vector(self, document_id: str) -> SparseVector:
-        """Explicit representation of one document_id across all its fields.
-
-        Lemmas repeated across fields (e.g. two senses) merge by maximum
-        weight; with pure idf weights all occurrences agree anyway.
-        """
-        entries = {}
-        for lemma, plist in self.postings.items():
-            for p in plist:
-                if p.document_id == document_id:
-                    entries[lemma] = max(entries.get(lemma, 0.0), p.weight)
-        return SparseVector(entries)
 
     def to_dict(self):
         return {

@@ -1,9 +1,11 @@
+import json
 import pathlib
 
 import pytest
 
 from discrimattr import load_assertions, load_definitions, load_scene_graphs
 from discrimattr.cascade import StoreSet
+from discrimattr.definitions import store_from_dict
 from discrimattr.text import load_lemma_table, load_stopwords
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -30,6 +32,11 @@ def definition_store(lemma_table, stopwords):
 
 
 @pytest.fixture(scope="session")
+def reloaded_definition_store(definition_store):
+    return reload_definitions(definition_store)
+
+
+@pytest.fixture(scope="session")
 def ckg_store(lemma_table):
     return load_assertions(DATA / "assertions.tsv", lemma_table)
 
@@ -52,3 +59,13 @@ def term(surface, lemma=None):
     from discrimattr.types import Term
 
     return Term(surface, lemma if lemma is not None else surface.lower())
+
+
+def reload_definitions(store):
+    """The store as `classify` sees it: encoded to its index JSON, then decoded."""
+    return store_from_dict(json.loads(json.dumps(store.to_dict())))
+
+
+def concepts_of(store):
+    """Every concept an assertion of the CKG store names, from a scan."""
+    return sorted({c for a in store.assertions for c in (a.start, a.end)})

@@ -20,10 +20,11 @@ from discrimattr.definitions import expand_supertypes, has_property_dbm
 from discrimattr.evaluation import (load_annotations, load_gold, macro_f1,
                                     overlap_analysis)
 from discrimattr.index import ExplicitVectorSpace
+from discrimattr.text import lemma_of, normalize
 from discrimattr.types import COMPONENTS, Term, Triple
 from discrimattr.visual import has_property_vfm
 
-from conftest import term
+from conftest import concepts_of, reload_definitions, term
 from test_cascade import random_stores, triple
 from test_evaluation import keyed, make_gold
 
@@ -80,18 +81,23 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
             indexed = {p.document_id for p in space.documents_containing(lemma)}
             assert indexed == {d for d, _, toks in docs if lemma in toks}
 
-    # dbm depth-0 membership vs brute-force scan of own segments
-    vocab = {t.lemma for recs in definition_store.records.values()
-             for r in recs for s in r.segments for t in s.tokens}
-    for lemma, recs in definition_store.records.items():
+    # dbm depth-0 membership, on the store as reloaded from its index, vs
+    # brute-force normalization of the term's own segment texts
+    reloaded = reload_definitions(definition_store)
+
+    def seg_lemmas(seg):
+        return [x.lemma for x in normalize(seg.text, lemma_table, stopwords)]
+
+    vocab = {x for recs in reloaded.records.values()
+             for r in recs for s in r.segments for x in seg_lemmas(s)}
+    for lemma, recs in reloaded.records.items():
         for a in vocab:
-            brute = any(a in [x.lemma for x in s.tokens] for r in recs for s in r.segments)
-            res = has_property_dbm(Term(lemma, lemma), Term(a, a), definition_store, max_depth=0)
+            brute = any(a in seg_lemmas(s) for r in recs for s in r.segments)
+            res = has_property_dbm(Term(lemma, lemma), Term(a, a), reloaded, max_depth=0)
             assert res.member == brute
 
     # vfm membership vs brute-force scan of raw annotations
     raw = [json.loads(l) for l in (DATA / "scene_regions.jsonl").read_text().splitlines() if l]
-    from discrimattr.text import lemma_of, normalize
     for o in {x for x, _ in visual_store.oa_index}:
         for a in {x for _, x in visual_store.oa_index}:
             brute = {
@@ -104,7 +110,7 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
             assert has_property_vfm(term(o, o), term(a, a), visual_store).member == bool(brute)
 
     # ckg membership vs linear scan, and negation exclusion
-    concepts = list(ckg_store.by_concept)
+    concepts = concepts_of(ckg_store)
     for a in concepts:
         for b in concepts:
             brute = any((x.start == a and x.end == b) or (x.start == b and x.end == a)

@@ -1,9 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
-from discrimattr.cli import main
+from discrimattr.cli import _read_triples_file, main
+from discrimattr.text import load_lemma_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,6 +82,41 @@ def test_classify_triples_file_order_preserved(built, tmp_path, capsys):
     assert main(["classify", "--config", str(cfg), "--triples-file", str(tf)]) == 0
     lines = (out / "semeval.csv").read_text().strip().splitlines()
     assert lines == ["planet,moon,body,0", "apple,banana,red,1", "cat,lion,whiskers,1"]
+
+
+def test_semeval_csv_quotes_surfaces_with_commas(built, tmp_path, capsys):
+    cfg, out = built
+    tf = tmp_path / "triples.csv"
+    tf.write_text('"big, red",dog,whiskers\napple,banana,red\n', encoding="utf-8")
+    assert main(["classify", "--config", str(cfg), "--triples-file", str(tf)]) == 0
+    with open(out / "semeval.csv", encoding="utf-8", newline="") as fh:
+        assert [len(row) for row in csv.reader(fh)] == [4, 4]
+    triples = _read_triples_file(out / "semeval.csv", load_lemma_table(DATA / "lemmas.tsv"))
+    assert [t.pivot.surface for t in triples] == ["big, red", "apple"]
+    assert (out / "semeval.csv").read_text().splitlines()[1] == "apple,banana,red,1"
+
+
+def test_vocabulary_is_fixed_at_build(tmp_path, capsys):
+    defs = tmp_path / "defs.jsonl"
+    defs.write_text(json.dumps({"term": "cat", "sense": "cat.n.01", "segments": [
+        {"role": "differentia_quality", "text": "long whiskers"}]}) + "\n", encoding="utf-8")
+    table = tmp_path / "lemmas.tsv"
+    table.write_text("whiskers\thair\n", encoding="utf-8")
+    out = tmp_path / "out"
+    build_cfg = tmp_path / "build.json"
+    build_cfg.write_text(json.dumps({"definitions": str(defs), "lemma_table": str(table),
+                                     "output_dir": str(out)}), encoding="utf-8")
+    assert main(["build", "--config", str(build_cfg)]) == 0
+    # classify under the package's default lemma table, which maps whiskers to
+    # whisker: the index still holds the build-time lemma
+    cfg = tmp_path / "classify.json"
+    cfg.write_text(json.dumps({"output_dir": str(out)}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "cat", "lion", "hair"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "cat,lion,hair,1"
+    verdict = json.loads((out / "verdicts.jsonl").read_text())
+    assert verdict["deciding_component"] == "DBM"
+    assert verdict["explanation"]["pivot_evidence"][0]["text"] == "long whiskers"
 
 
 def test_classify_without_build_exits_2(tmp_path, capsys):

@@ -1,9 +1,14 @@
-import pytest
+import json
 
-from discrimattr.commonsense import has_property_ckg, load_assertions
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from discrimattr.commonsense import (Assertion, CkgStore, has_property_ckg,
+                                     load_assertions)
 from discrimattr.errors import DataFormatError
 
-from conftest import term
+from conftest import concepts_of, term
 
 
 def test_negated_relations_excluded(ckg_store):
@@ -13,8 +18,7 @@ def test_negated_relations_excluded(ckg_store):
 
 
 def test_bidirectional_indexing(ckg_store):
-    assert "cognac" in ckg_store.by_concept
-    assert "french" in ckg_store.by_concept
+    assert ckg_store.by_pair[("cognac", "french")] == ckg_store.by_pair[("french", "cognac")]
 
 
 def test_membership_with_evidence(ckg_store):
@@ -25,7 +29,7 @@ def test_membership_with_evidence(ckg_store):
 
 
 def test_symmetric_lookup(ckg_store):
-    concepts = list(ckg_store.by_concept) + ["nothere"]
+    concepts = concepts_of(ckg_store) + ["nothere"]
     for a in concepts:
         for b in concepts:
             fwd = has_property_ckg(term(a, a), term(b, b), ckg_store).member
@@ -53,7 +57,7 @@ def test_multiword_token_match_flag(ckg_store):
 
 
 def test_oracle_equivalence_linear_scan(ckg_store):
-    concepts = list(ckg_store.by_concept)
+    concepts = concepts_of(ckg_store)
     for a in concepts:
         for b in concepts:
             brute = any(
@@ -69,7 +73,7 @@ def test_conceptnet_dump_format(data_dir, lemma_table):
     assert has_property_ckg(term("cognac"), term("french"), store).member
     assert not has_property_ckg(term("banana"), term("red"), store).member
     # French-language concepts filtered out
-    assert "pomme" not in store.by_concept
+    assert "pomme" not in concepts_of(store)
     assert store.skipped == 1  # the malformed line
     # source weight is stored
     ev = has_property_ckg(term("cognac"), term("french"), store).evidence[0]
@@ -88,11 +92,29 @@ def test_unreadable_file_errors(tmp_path, lemma_table):
         load_assertions(tmp_path / "missing.tsv", lemma_table)
 
 
-def test_idf_space_over_concept_neighborhoods(ckg_store):
-    space = ckg_store.space
-    assert space.document_count == len(ckg_store.by_concept)
-    lemmas = sorted(space.document_frequency)
-    for a in lemmas:
-        for b in lemmas:
-            if space.document_frequency[a] < space.document_frequency[b]:
-                assert space.idf(a) > space.idf(b)
+def test_self_loop_evidence_listed_once():
+    store = CkgStore.build([Assertion("RelatedTo", "x", "x"), Assertion("HasProperty", "x", "y")])
+    res = store.has_property(term("x"), term("x"))
+    assert [(e.assertion.end, e.direction) for e in res.evidence] == [("x", "forward")]
+    assert len(store.has_property(term("x"), term("x"), token_match=True).evidence) == 1
+
+
+concept_names = ["ant", "bee", "red", "ice_cream", "cream", "cold"]
+assertion_sets = st.lists(
+    st.builds(Assertion, st.sampled_from(["HasProperty", "RelatedTo", "NotHasProperty"]),
+              st.sampled_from(concept_names), st.sampled_from(concept_names),
+              st.sampled_from([1.0, 2.0])),
+    max_size=12,
+)
+
+
+@given(assertion_sets)
+def test_reloaded_store_answers_like_built(assertions):
+    built = CkgStore.build(assertions)
+    reloaded = CkgStore.from_dict(json.loads(json.dumps(built.to_dict())))
+    queried = concept_names + ["zebra"]
+    for a in queried:
+        for b in queried:
+            for token_match in (False, True):
+                assert reloaded.has_property(term(a), term(b), token_match) == \
+                    built.has_property(term(a), term(b), token_match)

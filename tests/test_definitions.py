@@ -1,14 +1,17 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from discrimattr.definitions import (expand_supertypes, has_property_dbm,
+from discrimattr.definitions import (SEMANTIC_ROLES, _build_store,
+                                     expand_supertypes, has_property_dbm,
                                      load_definitions)
 from discrimattr.errors import DataFormatError
 from discrimattr.text import normalize
 from discrimattr.types import Term
 
-from conftest import term
+from conftest import reload_definitions, term
 
 
 def write_jsonl(path, records):
@@ -123,21 +126,50 @@ def test_inheritance_monotonic(definition_store):
                 prev = ev
 
 
-def test_evidence_soundness(definition_store, lemma_table, stopwords):
-    for t in definition_store.records:
+def test_evidence_soundness(reloaded_definition_store, lemma_table, stopwords):
+    store = reloaded_definition_store
+    for t in store.records:
         for a in ["body", "fruit", "wine", "yellow"]:
-            res = has_property_dbm(term(t), term(a), definition_store)
+            res = has_property_dbm(term(t), term(a), store)
             for e in res.evidence:
                 lemmas = [x.lemma for x in normalize(e.text, lemma_table, stopwords)]
                 assert a in lemmas
 
 
-def test_depth0_oracle_equivalence(definition_store):
-    # brute force over the term's own segments
-    vocab = {t.lemma for recs in definition_store.records.values()
-             for r in recs for s in r.segments for t in s.tokens}
-    for t, recs in definition_store.records.items():
+def test_depth0_oracle_equivalence(reloaded_definition_store, lemma_table, stopwords):
+    # brute force over the texts of the term's own segments
+    store = reloaded_definition_store
+
+    def lemmas(seg):
+        return [x.lemma for x in normalize(seg.text, lemma_table, stopwords)]
+
+    vocab = {x for recs in store.records.values() for r in recs for s in r.segments
+             for x in lemmas(s)}
+    for t, recs in store.records.items():
         for a in vocab:
-            brute = any(a in [x.lemma for x in s.tokens] for r in recs for s in r.segments)
-            res = has_property_dbm(term(t), Term(a, a), definition_store, max_depth=0)
+            brute = any(a in lemmas(s) for r in recs for s in r.segments)
+            res = has_property_dbm(term(t), Term(a, a), store, max_depth=0)
             assert res.member == brute
+
+
+nouns = ["ant", "bee", "cow", "apples"]
+words = st.sampled_from(nouns + ["red", "whiskers", "the", "of", "big"])
+definition_sets = st.dictionaries(
+    st.tuples(st.sampled_from(nouns), st.sampled_from(["s1", "s2"])),
+    st.lists(st.tuples(st.sampled_from(SEMANTIC_ROLES[:3]),
+                       st.lists(words, max_size=3).map(" ".join)), max_size=4),
+    max_size=6,
+)
+
+
+@given(defs=definition_sets)
+def test_reloaded_store_answers_like_built(defs, lemma_table, stopwords):
+    raw = [(t, sense, segments, (None, None)) for (t, sense), segments in defs.items()]
+    built = _build_store(raw, lemma_table, stopwords)
+    reloaded = reload_definitions(built)
+    lemmas = ["ant", "bee", "cow", "apple", "red", "whisker", "the", "big", "zebra"]
+    for t in lemmas:
+        for a in lemmas:
+            for depth in range(4):
+                assert reloaded.has_property(term(t), term(a), depth) == \
+                    built.has_property(term(t), term(a), depth)

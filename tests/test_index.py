@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError, EmptyCorpusError
-from discrimattr.index import (ExplicitVectorSpace, SparseVector, cosine,
-                               dump_json, load_json)
+from discrimattr.index import ExplicitVectorSpace, dump_json, load_json
 
 
 def space_of(*docs):
@@ -63,37 +62,6 @@ def test_duplicate_document_identical_collapses():
     assert space.document_count == 1
 
 
-def test_vector_reads_off_postings():
-    space = space_of(("apple", "s1/differentia_quality", ["red", "fruit"]),
-                     ("banana", "s1/differentia_quality", ["yellow"]))
-    v = space.vector("apple")
-    assert set(v.entries) == {"red", "fruit"}
-    assert v.entries["red"] == pytest.approx(space.idf("red"))
-
-
-def test_vector_merges_senses_by_max_weight():
-    space = space_of(("apple", "s1/f", ["red"]), ("apple", "s2/f", ["red", "green"]),
-                     ("pear", "s1/f", ["yellow"]))
-    v = space.vector("apple")
-    assert set(v.entries) == {"red", "green"}
-    assert v.entries["red"] == pytest.approx(space.idf("red"))
-
-
-def test_vector_unknown_term_empty():
-    space = space_of(("a", "f", ["x"]))
-    assert not space.vector("nope")
-
-
-def test_cosine_basics():
-    v = SparseVector({"a": 1.0, "b": 2.0})
-    assert cosine(v, v) == pytest.approx(1.0)
-    assert cosine(v, SparseVector({"c": 1.0})) == 0.0
-    assert cosine(v, SparseVector()) == 0.0
-    v1 = SparseVector({"a": 1.0, "b": 1.0})
-    v2 = SparseVector({"a": 1.0})
-    assert cosine(v1, v2) == pytest.approx(1 / math.sqrt(2), abs=1e-4)
-
-
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=10)
 corpora = st.lists(
     st.tuples(st.integers(0, 49), st.just("f"), tokens), max_size=50
@@ -135,17 +103,6 @@ def test_idf_monotonicity(docs):
         for b in lemmas:
             if space.document_frequency[a] < space.document_frequency[b]:
                 assert space.idf(a) > space.idf(b)
-
-
-weights = st.dictionaries(st.sampled_from("abcdef"), st.floats(0.01, 10), max_size=6)
-
-
-@given(weights, weights)
-def test_cosine_symmetry_and_range(w1, w2):
-    v1, v2 = SparseVector(w1), SparseVector(w2)
-    c = cosine(v1, v2)
-    assert c == pytest.approx(cosine(v2, v1))
-    assert 0.0 <= c <= 1.0
 
 
 def test_round_trip_byte_identical(tmp_path):
