@@ -3,23 +3,21 @@ spaces built from definitions, scene graphs, and commonsense assertions."""
 
 from .cascade import (CascadeConfig, Explanation, StoreSet, Verdict, classify,
                       classify_batch, render_explanation)
-from .commonsense import CkgStore, has_property_ckg, load_assertions
-from .definitions import (DefinitionStore, expand_supertypes, has_property_dbm,
-                          load_definitions)
+from .commonsense import CkgStore, load_assertions
+from .definitions import DefinitionStore, load_definitions
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
 from .index import ExplicitVectorSpace, Posting
 from .text import normalize
 from .types import MembershipResult, Term, Triple
-from .visual import VisualStore, has_property_vfm, load_scene_graphs
+from .visual import VisualStore, load_scene_graphs
 
 __all__ = [
     "CascadeConfig", "Explanation", "StoreSet", "Verdict", "classify",
-    "classify_batch", "render_explanation", "CkgStore", "has_property_ckg",
-    "load_assertions", "DefinitionStore", "expand_supertypes",
-    "has_property_dbm", "load_definitions", "ConfigError", "DataFormatError",
-    "DiscrimAttrError", "EvidenceError", "ExplicitVectorSpace", "Posting",
-    "normalize", "MembershipResult", "Term", "Triple", "VisualStore",
-    "has_property_vfm", "load_scene_graphs",
+    "classify_batch", "render_explanation", "CkgStore",
+    "load_assertions", "DefinitionStore", "load_definitions", "ConfigError",
+    "DataFormatError", "DiscrimAttrError", "EvidenceError", "ExplicitVectorSpace",
+    "Posting", "normalize", "MembershipResult", "Term", "Triple", "VisualStore",
+    "load_scene_graphs",
 ]
 
 __version__ = "0.1.0"

@@ -9,38 +9,18 @@ which component explains it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .commonsense import CkgStore
-from .definitions import DEFAULT_MAX_DEPTH, DefinitionStore
+from .commonsense import CkgStore, EdgeEvidence
+from .definitions import DEFAULT_MAX_DEPTH, DefinitionEvidence, DefinitionStore
 from .errors import EvidenceError
 from .types import COMPONENTS, MembershipResult, Triple
-from .visual import VisualStore
-
-TEMPLATES = {
-    "dbm.v1": (
-        "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
-        "the definition of {evidence_term} ({sense}, role: {role}){via} states "
-        "\"{text}\", while no definition of '{comparison}' (or of its supertypes) "
-        "mentions '{attribute}'."
-    ),
-    "ckg.v1": (
-        "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
-        "the knowledge graph contains the edge {start} -{relation}-> {end}, "
-        "while no edge links '{comparison}' and '{attribute}'."
-    ),
-    "vfm.v1": (
-        "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
-        "'{attribute}' co-occurs with '{evidence_object}'{via} in {n} image "
-        "region(s) ({regions}), and never with '{comparison}'."
-    ),
-}
-
-_DEFAULT_TEMPLATE = {"DBM": "dbm.v1", "CKG": "ckg.v1", "VFM": "vfm.v1"}
+from .visual import RegionEvidence, VisualStore
 
 
 @dataclass(frozen=True)
 class Explanation:
-    kind: str  # "intensional" (DBM/CKG) or "extensional" (VFM)
+    kind: str  # the deciding stage's kind: "intensional" or "extensional"
     template_id: str
     pivot_evidence: tuple
     comparison_check: str
@@ -95,23 +75,6 @@ class CascadeConfig:
         if sorted(self.stage_order) != sorted(COMPONENTS):
             raise ValueError(f"stage_order must be a permutation of {COMPONENTS}")
 
-    def to_dict(self):
-        return {
-            "stage_order": list(self.stage_order),
-            "dbm_max_depth": self.dbm_max_depth,
-            "vfm_min_count": self.vfm_min_count,
-            "vfm_use_sor": self.vfm_use_sor,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            stage_order=tuple(d.get("stage_order", COMPONENTS)),
-            dbm_max_depth=d.get("dbm_max_depth", DEFAULT_MAX_DEPTH),
-            vfm_min_count=d.get("vfm_min_count", 1),
-            vfm_use_sor=d.get("vfm_use_sor", False),
-        )
-
 
 @dataclass(frozen=True)
 class StoreSet:
@@ -120,76 +83,89 @@ class StoreSet:
     visual: VisualStore
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One knowledge component: its membership query, its evidence type and
+    the template that explains a verdict it decides."""
+
+    name: str
+    kind: str  # "intensional" or "extensional"
+    template_id: str
+    template: str
+    query: Callable  # (stores, term, attribute, config) -> MembershipResult
+    evidence_type: type  # decodes stored evidence with `from_dict`
+    slots: Callable  # evidence tuple -> the template's evidence slots
+
+
+def _dbm_slots(evidence):
+    ev = min(evidence, key=lambda e: (len(e.path), e.term, e.sense_id, e.role))
+    via = " (inherited via " + " -> ".join(ev.path) + ")" if len(ev.path) > 1 else ""
+    return {"evidence_term": ev.term, "sense": ev.sense_id, "role": ev.role,
+            "text": ev.text, "via": via}
+
+
+def _ckg_slots(evidence):
+    a = min(evidence, key=lambda e: (e.assertion.relation, e.assertion.start,
+                                     e.assertion.end)).assertion
+    return {"start": a.start, "relation": a.relation, "end": a.end}
+
+
+def _vfm_slots(evidence):
+    ev = evidence[0]
+    via = ""
+    if ev.via is not None:
+        via = (f" (inherited from '{ev.object}' via "
+               f"{ev.via.subject} -{ev.via.predicate}-> {ev.via.object})")
+    return {"evidence_object": ev.object, "n": len(ev.regions), "via": via,
+            "regions": ", ".join(f"img {img}/r{reg}" for img, reg in ev.regions)}
+
+
+# Queries look store methods up per call, so a later class-level wrapper sees them.
+STAGES = {s.name: s for s in (
+    Stage(
+        "DBM", "intensional", "dbm.v1",
+        "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
+        "the definition of {evidence_term} ({sense}, role: {role}){via} states "
+        "\"{text}\", while no definition of '{comparison}' (or of its supertypes) "
+        "mentions '{attribute}'.",
+        lambda stores, term, attribute, config: stores.definitions.has_property(
+            term, attribute, max_depth=config.dbm_max_depth),
+        DefinitionEvidence, _dbm_slots,
+    ),
+    Stage(
+        "CKG", "intensional", "ckg.v1",
+        "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
+        "the knowledge graph contains the edge {start} -{relation}-> {end}, "
+        "while no edge links '{comparison}' and '{attribute}'.",
+        lambda stores, term, attribute, config: stores.commonsense.has_property(
+            term, attribute),
+        EdgeEvidence, _ckg_slots,
+    ),
+    Stage(
+        "VFM", "extensional", "vfm.v1",
+        "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
+        "'{attribute}' co-occurs with '{evidence_object}'{via} in {n} image "
+        "region(s) ({regions}), and never with '{comparison}'.",
+        lambda stores, term, attribute, config: stores.visual.has_property(
+            term, attribute, min_count=config.vfm_min_count, use_sor=config.vfm_use_sor),
+        RegionEvidence, _vfm_slots,
+    ),
+)}
+
+
 def member(component, term, attribute, stores: StoreSet, config: CascadeConfig) -> MembershipResult:
     """One component's membership answer for (attribute, term)."""
-    if component == "DBM":
-        return stores.definitions.has_property(term, attribute, max_depth=config.dbm_max_depth)
-    if component == "CKG":
-        return stores.commonsense.has_property(term, attribute)
-    if component == "VFM":
-        return stores.visual.has_property(
-            term, attribute, min_count=config.vfm_min_count, use_sor=config.vfm_use_sor
-        )
-    raise ValueError(f"unknown component {component!r}")
+    return STAGES[component].query(stores, term, attribute, config)
 
 
-def render_explanation(triple: Triple, component: str, evidence: tuple,
-                       template_id: str | None = None) -> str:
+def render_explanation(triple: Triple, component: str, evidence: tuple) -> str:
     """Deterministic template rendering of a positive verdict's evidence."""
     if not evidence:
         raise EvidenceError(f"no evidence to render for {triple.key()} ({component})")
-    template_id = template_id or _DEFAULT_TEMPLATE[component]
-    template = TEMPLATES[template_id]
-    slots = {
-        "pivot": triple.pivot.lemma,
-        "comparison": triple.comparison.lemma,
-        "attribute": triple.attribute.lemma,
-    }
-    if component == "DBM":
-        ev = min(evidence, key=lambda e: (len(e.path), e.term, e.sense_id, e.role))
-        via = ""
-        if len(ev.path) > 1:
-            via = " (inherited via " + " -> ".join(ev.path) + ")"
-        return template.format(
-            evidence_term=ev.term, sense=ev.sense_id, role=ev.role, text=ev.text,
-            via=via, **slots,
-        )
-    if component == "CKG":
-        ev = min(evidence, key=lambda e: (e.assertion.relation, e.assertion.start, e.assertion.end))
-        return template.format(
-            start=ev.assertion.start, relation=ev.assertion.relation, end=ev.assertion.end,
-            **slots,
-        )
-    if component == "VFM":
-        ev = evidence[0]
-        regions = ", ".join(f"img {img}/r{reg}" for img, reg in ev.regions)
-        via = ""
-        if ev.via is not None:
-            via = (
-                f" (inherited from '{ev.object}' via "
-                f"{ev.via.subject} -{ev.via.predicate}-> {ev.via.object})"
-            )
-        return template.format(
-            evidence_object=ev.object, n=len(ev.regions), regions=regions, via=via,
-            **slots,
-        )
-    raise ValueError(f"unknown component {component!r}")
-
-
-def _build_explanation(triple, component, pivot_result, template_id=None):
-    kind = "extensional" if component == "VFM" else "intensional"
-    template_id = template_id or _DEFAULT_TEMPLATE[component]
-    text = render_explanation(triple, component, pivot_result.evidence, template_id)
-    check = (
-        f"no {component} evidence links '{triple.attribute.lemma}' "
-        f"to '{triple.comparison.lemma}'"
-    )
-    return Explanation(
-        kind=kind,
-        template_id=template_id,
-        pivot_evidence=pivot_result.evidence,
-        comparison_check=check,
-        rendered_text=text,
+    stage = STAGES[component]
+    return stage.template.format(
+        pivot=triple.pivot.lemma, comparison=triple.comparison.lemma,
+        attribute=triple.attribute.lemma, **stage.slots(evidence),
     )
 
 
@@ -219,10 +195,20 @@ def classify(triple: Triple, stores: StoreSet,
         else:
             pivot_result = fired[component]
         if pivot_result is not None:
+            stage = STAGES[component]
             return Verdict(
                 discriminative=True,
                 deciding_component=component,
-                explanation=_build_explanation(triple, component, pivot_result),
+                explanation=Explanation(
+                    kind=stage.kind,
+                    template_id=stage.template_id,
+                    pivot_evidence=pivot_result.evidence,
+                    comparison_check=(
+                        f"no {component} evidence links '{triple.attribute.lemma}' "
+                        f"to '{triple.comparison.lemma}'"
+                    ),
+                    rendered_text=render_explanation(triple, component, pivot_result.evidence),
+                ),
             )
     return Verdict(discriminative=False)
 

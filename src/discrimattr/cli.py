@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import commonsense, definitions, evaluation, text, visual
-from .cascade import CascadeConfig, StoreSet, classify_batch, render_explanation
-from .commonsense import Assertion, CkgStore, EdgeEvidence
-from .definitions import DefinitionEvidence
-from .errors import ConfigError, DataFormatError, DiscrimAttrError
+from .cascade import STAGES, CascadeConfig, StoreSet, classify_batch, render_explanation
+from .commonsense import CkgStore
+from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
 from .index import dump_json, load_json
 from .text import lemma_of
 from .types import COMPONENTS, Term, Triple
-from .visual import RegionEvidence, RelationshipAnnotation, VisualStore
+from .visual import VisualStore
 
 DATA_DIR_ENV = "DISCRIMATTR_DATA_DIR"
 
@@ -282,10 +281,10 @@ def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
     results, _ = classify_batch(triples, stores, cfg.cascade_config())
     out = Path(cfg.output_dir)
     _write_verdicts(results, out)
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     for triple, verdict in results:
-        line = f"{triple.pivot.surface},{triple.comparison.surface},{triple.attribute.surface}," \
-               f"{1 if verdict.discriminative else 0}"
-        print(line)
+        writer.writerow([triple.pivot.surface, triple.comparison.surface,
+                         triple.attribute.surface, 1 if verdict.discriminative else 0])
         if verdict.discriminative and cfg.verbose:
             print(f"  [{verdict.deciding_component}] {verdict.explanation.rendered_text}")
         elif verdict.discriminative:
@@ -295,24 +294,6 @@ def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
     return 0
 
 
-_EVIDENCE_LOADERS = {
-    "DBM": lambda d: DefinitionEvidence(
-        term=d["term"], sense_id=d["sense"], role=d["role"], text=d["text"],
-        path=tuple(d["path"]),
-    ),
-    "CKG": lambda d: EdgeEvidence(
-        assertion=Assertion(**d["assertion"]), direction=d["direction"],
-    ),
-    "VFM": lambda d: RegionEvidence(
-        object=d["object"], attribute=d["attribute"],
-        regions=tuple(tuple(r) for r in d["regions"]),
-        via=RelationshipAnnotation(
-            d["via"]["image"], d["via"]["subject"], d["via"]["predicate"], d["via"]["object"]
-        ) if "via" in d else None,
-    ),
-}
-
-
 def cmd_explain(cfg, triple_args) -> int:
     lemma_table, _ = _load_vocab(cfg)
     triple = Triple(*(_term(a, lemma_table) for a in triple_args))
@@ -320,20 +301,26 @@ def cmd_explain(cfg, triple_args) -> int:
     if not path.exists():
         raise DataFormatError("no stored verdicts; run `discrimattr classify` first", path=str(path))
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if (rec["pivot"], rec["comparison"], rec["attribute"]) == triple.key():
+        for lineno, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                if (rec["pivot"], rec["comparison"], rec["attribute"]) != triple.key():
+                    continue
                 if not rec["label"]:
                     print("not discriminative: no explanation")
                     return 0
-                component = rec["deciding_component"]
-                evidence = tuple(
-                    _EVIDENCE_LOADERS[component](e)
-                    for e in rec["explanation"]["pivot_evidence"]
-                )
-                print(render_explanation(triple, component, evidence,
-                                         rec["explanation"]["template_id"]))
-                return 0
+                stage = STAGES[rec["deciding_component"]]
+                explanation = rec["explanation"]
+                if explanation["template_id"] != stage.template_id:
+                    raise KeyError(explanation["template_id"])
+                evidence = tuple(stage.evidence_type.from_dict(e)
+                                 for e in explanation["pivot_evidence"])
+                rendered = render_explanation(triple, stage.name, evidence)
+            except (ValueError, KeyError, TypeError, EvidenceError) as e:
+                raise DataFormatError(f"malformed stored verdict: {type(e).__name__}: {e}",
+                                      path=str(path), line=lineno)
+            print(rendered)
+            return 0
     raise DataFormatError(f"no stored verdict for {triple.key()}", path=str(path))
 
 

@@ -26,6 +26,10 @@ class Assertion:
         return {"relation": self.relation, "start": self.start, "end": self.end,
                 "weight": self.weight}
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["relation"], d["start"], d["end"], d["weight"])
+
 
 @dataclass(frozen=True)
 class EdgeEvidence:
@@ -34,6 +38,10 @@ class EdgeEvidence:
 
     def to_dict(self):
         return {"assertion": self.assertion.to_dict(), "direction": self.direction}
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(assertion=Assertion.from_dict(d["assertion"]), direction=d["direction"])
 
 
 def _concept_matches(query_lemma: str, concept: str, token_match: bool) -> bool:
@@ -81,7 +89,7 @@ class CkgStore:
                 attribute.lemma, a.start, token_match
             ):
                 evidence.append(EdgeEvidence(assertion=a, direction="reverse"))
-        return MembershipResult(member=bool(evidence), component="CKG", evidence=tuple(evidence))
+        return MembershipResult(member=bool(evidence), evidence=tuple(evidence))
 
     def to_dict(self):
         return {
@@ -91,15 +99,8 @@ class CkgStore:
 
     @classmethod
     def from_dict(cls, data):
-        assertions = [
-            Assertion(a["relation"], a["start"], a["end"], a["weight"])
-            for a in data["assertions"]
-        ]
+        assertions = [Assertion.from_dict(a) for a in data["assertions"]]
         return cls.build(assertions, skipped=data.get("skipped", 0))
-
-
-def has_property_ckg(term, attribute, store, token_match=False):
-    return store.has_property(term, attribute, token_match=token_match)
 
 
 def _concept_from_uri(uri, language_filter):

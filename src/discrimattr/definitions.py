@@ -63,6 +63,11 @@ class DefinitionEvidence:
             "path": list(self.path),
         }
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(term=d["term"], sense_id=d["sense"], role=d["role"], text=d["text"],
+                   path=tuple(d["path"]))
+
 
 class DefinitionStore:
     """Immutable after load, except for a cache of grouped postings that
@@ -127,7 +132,7 @@ class DefinitionStore:
                             path=path,
                         )
                     )
-        return MembershipResult(member=bool(evidence), component="DBM", evidence=tuple(evidence))
+        return MembershipResult(member=bool(evidence), evidence=tuple(evidence))
 
     def to_dict(self):
         return {
@@ -145,15 +150,6 @@ class DefinitionStore:
             "supertype_edges": {k: list(v) for k, v in sorted(self.supertype_edges.items())},
             "space": self.space.to_dict(),
         }
-
-
-def expand_supertypes(term: Term, store: DefinitionStore, max_depth: int = DEFAULT_MAX_DEPTH):
-    """The term's records plus all ancestor records within max_depth."""
-    return [rec for rec, _ in store.expand(term, max_depth)]
-
-
-def has_property_dbm(term, attribute, store, max_depth=DEFAULT_MAX_DEPTH):
-    return store.has_property(term, attribute, max_depth)
 
 
 def _field(sense_id, role, role_counts):

@@ -7,13 +7,16 @@ Category annotations: CSV `pivot,comparison,attribute,category[;category...]`.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
 from .text import lemma_of
 from .types import CATEGORIES, COMPONENTS, Term, Triple
 
-PAIRS = (("DBM", "CKG"), ("DBM", "VFM"), ("CKG", "VFM"))
+# the components whose TP/FP intersections the overlap rows report: each
+# pair, then all of them
+OVERLAP_GROUPS = (*itertools.combinations(COMPONENTS, 2), COMPONENTS)
 
 
 @dataclass
@@ -185,15 +188,11 @@ def _tp_fp_sets(preds, gold):
 def _overlap_row(sets_by_component, denominator):
     row = {}
     fractions = []
-    for a, b in PAIRS:
-        inter = sets_by_component[a] & sets_by_component[b]
+    for group in OVERLAP_GROUPS:
+        inter = set.intersection(*(sets_by_component[c] for c in group))
         frac = len(inter & denominator) / len(denominator) if denominator else None
-        row[f"{a}^{b}"] = frac
+        row["^".join(group)] = frac
         fractions.append(frac)
-    three = sets_by_component["DBM"] & sets_by_component["CKG"] & sets_by_component["VFM"]
-    frac3 = len(three & denominator) / len(denominator) if denominator else None
-    row["DBM^CKG^VFM"] = frac3
-    fractions.append(frac3)
     row["average"] = (
         sum(fractions) / len(fractions) if all(f is not None for f in fractions) else None
     )
@@ -323,7 +322,7 @@ def render_report(report: EvalReport) -> str:
     if report.overlap:
         lines.append("")
         lines.append("-- component overlap (fraction of combined TPs / FPs) --")
-        keys = ("DBM^CKG", "DBM^VFM", "CKG^VFM", "DBM^CKG^VFM", "average")
+        keys = ["^".join(group) for group in OVERLAP_GROUPS] + ["average"]
         for kind in ("true", "false"):
             row = report.overlap[kind]
             cells = " ".join(f"{k}={_fmt(row[k])}" for k in keys)

@@ -48,7 +48,6 @@ class MembershipResult:
     """One component's answer to "does (attribute, term) hold?" plus evidence."""
 
     member: bool
-    component: str
     evidence: tuple = field(default_factory=tuple)
 
     def __bool__(self):

@@ -34,6 +34,10 @@ class RelationshipAnnotation:
             "object": self.object,
         }
 
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["image"], d["subject"], d["predicate"], d["object"])
+
 
 @dataclass(frozen=True)
 class RegionEvidence:
@@ -55,6 +59,11 @@ class RegionEvidence:
             d["via"] = self.via.to_dict()
         return d
 
+    @classmethod
+    def from_dict(cls, d):
+        via = RelationshipAnnotation.from_dict(d["via"]) if "via" in d else None
+        return cls(d["object"], d["attribute"], tuple(tuple(r) for r in d["regions"]), via)
+
 
 class VisualStore:
     """Immutable after load; concurrent readers are safe."""
@@ -74,7 +83,7 @@ class VisualStore:
         direct = self.oa_index.get((obj.lemma, attribute.lemma), ())
         if len(direct) >= min_count:
             ev = RegionEvidence(obj.lemma, attribute.lemma, tuple(direct))
-            return MembershipResult(member=True, component="VFM", evidence=(ev,))
+            return MembershipResult(member=True, evidence=(ev,))
         if use_sor:
             for rel in self.sor_index.get(obj.lemma, ()):
                 for other in (rel.subject, rel.object):
@@ -87,8 +96,8 @@ class VisualStore:
                     ]
                     if len(regions) >= min_count:
                         ev = RegionEvidence(other, attribute.lemma, tuple(regions), via=rel)
-                        return MembershipResult(member=True, component="VFM", evidence=(ev,))
-        return MembershipResult(member=False, component="VFM")
+                        return MembershipResult(member=True, evidence=(ev,))
+        return MembershipResult(member=False)
 
     def to_dict(self):
         return {
@@ -111,15 +120,8 @@ class VisualStore:
             oa[(o, a)] = [tuple(r) for r in regions]
         sor = {}
         for lemma, rels in data["sor_index"].items():
-            sor[lemma] = [
-                RelationshipAnnotation(r["image"], r["subject"], r["predicate"], r["object"])
-                for r in rels
-            ]
+            sor[lemma] = [RelationshipAnnotation.from_dict(r) for r in rels]
         return cls(oa_index=oa, sor_index=sor, skipped=data.get("skipped", 0))
-
-
-def has_property_vfm(obj, attribute, store, min_count=1, use_sor=False):
-    return store.has_property(obj, attribute, min_count=min_count, use_sor=use_sor)
 
 
 class _Builder:

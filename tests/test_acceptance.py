@@ -15,14 +15,11 @@ import pytest
 from discrimattr import commonsense, definitions, visual
 from discrimattr.cascade import CascadeConfig, StoreSet, classify, member
 from discrimattr.cli import main
-from discrimattr.commonsense import has_property_ckg
-from discrimattr.definitions import expand_supertypes, has_property_dbm
 from discrimattr.evaluation import (load_annotations, load_gold, macro_f1,
                                     overlap_analysis)
 from discrimattr.index import ExplicitVectorSpace
 from discrimattr.text import lemma_of, normalize
 from discrimattr.types import COMPONENTS, Term, Triple
-from discrimattr.visual import has_property_vfm
 
 from conftest import concepts_of, reload_definitions, term
 from test_cascade import random_stores, triple
@@ -93,7 +90,7 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
     for lemma, recs in reloaded.records.items():
         for a in vocab:
             brute = any(a in seg_lemmas(s) for r in recs for s in r.segments)
-            res = has_property_dbm(Term(lemma, lemma), Term(a, a), reloaded, max_depth=0)
+            res = reloaded.has_property(Term(lemma, lemma), Term(a, a), max_depth=0)
             assert res.member == brute
 
     # vfm membership vs brute-force scan of raw annotations
@@ -107,7 +104,7 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
                         for s in r["attributes"])
             }
             assert visual_store.count(o, a) == len(brute)
-            assert has_property_vfm(term(o, o), term(a, a), visual_store).member == bool(brute)
+            assert visual_store.has_property(term(o, o), term(a, a)).member == bool(brute)
 
     # ckg membership vs linear scan, and negation exclusion
     concepts = concepts_of(ckg_store)
@@ -115,28 +112,28 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
         for b in concepts:
             brute = any((x.start == a and x.end == b) or (x.start == b and x.end == a)
                         for x in ckg_store.assertions)
-            res = has_property_ckg(term(a, a), term(b, b), ckg_store)
+            res = ckg_store.has_property(term(a, a), term(b, b))
             assert res.member == brute
             for e in res.evidence:
                 assert not e.assertion.relation.startswith("Not")
-    assert not has_property_ckg(term("banana"), term("red"), ckg_store).member
+    assert not ckg_store.has_property(term("banana"), term("red")).member
 
     # vfm threshold and SOR monotonicity
     for (o, a) in list(visual_store.oa_index) + [("lion", "whisker")]:
         prev = True
         for mc in range(1, 6):
-            cur = has_property_vfm(term(o, o), term(a, a), visual_store, min_count=mc).member
+            cur = visual_store.has_property(term(o, o), term(a, a), min_count=mc).member
             assert prev or not cur
             prev = cur
-        without = has_property_vfm(term(o, o), term(a, a), visual_store, use_sor=False).member
-        with_sor = has_property_vfm(term(o, o), term(a, a), visual_store, use_sor=True).member
+        without = visual_store.has_property(term(o, o), term(a, a), use_sor=False).member
+        with_sor = visual_store.has_property(term(o, o), term(a, a), use_sor=True).member
         assert with_sor or not without
 
     # supertype-expansion cycle termination
     raw_defs = [("a", "s", [("supertype", "b")], (None, None)),
                 ("b", "s", [("supertype", "a")], (None, None))]
     cyc = definitions._build_store(raw_defs, lemma_table, stopwords)
-    recs = expand_supertypes(term("a"), cyc, max_depth=10)
+    recs = [rec for rec, _ in cyc.expand(term("a"), max_depth=10)]
     assert [r.term.lemma for r in recs] == ["a", "b"]
 
     elapsed = time.monotonic() - started

@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from discrimattr import commonsense, definitions, visual
-from discrimattr.cascade import (CascadeConfig, StoreSet, classify,
+from discrimattr.cascade import (STAGES, CascadeConfig, StoreSet, classify,
                                  classify_batch, member, render_explanation)
 from discrimattr.errors import EvidenceError
 from discrimattr.types import COMPONENTS, Triple
@@ -211,3 +214,33 @@ def test_comparison_evidence_flips_true_to_false(lemma_table, stopwords):
     before = classify(t, StoreSet(d, commonsense.CkgStore.build(a1), v))
     after = classify(t, StoreSet(d, commonsense.CkgStore.build(a2), v))
     assert before.discriminative and not after.discriminative
+
+
+def test_stages_follow_components():
+    assert tuple(STAGES) == COMPONENTS
+    assert all(name == stage.name for name, stage in STAGES.items())
+
+
+_text = st.text(max_size=8)
+_relationship = st.builds(visual.RelationshipAnnotation, _text, _text, _text, _text)
+EVIDENCE = {
+    "DBM": st.builds(definitions.DefinitionEvidence, _text, _text,
+                     st.sampled_from(definitions.SEMANTIC_ROLES), _text,
+                     st.lists(_text, max_size=4).map(tuple)),
+    "CKG": st.builds(commonsense.EdgeEvidence,
+                     st.builds(commonsense.Assertion, _text, _text, _text,
+                               st.floats(allow_nan=False)),
+                     st.sampled_from(["forward", "reverse"])),
+    "VFM": st.builds(visual.RegionEvidence, _text, _text,
+                     st.lists(st.tuples(_text, _text), max_size=4).map(tuple),
+                     st.none() | _relationship),
+}
+
+
+@pytest.mark.parametrize("component", COMPONENTS)
+@given(data=st.data())
+def test_evidence_json_round_trip(component, data):
+    stage = STAGES[component]
+    e = data.draw(EVIDENCE[component])
+    assert isinstance(e, stage.evidence_type)
+    assert stage.evidence_type.from_dict(json.loads(json.dumps(e.to_dict()))) == e

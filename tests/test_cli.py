@@ -88,7 +88,12 @@ def test_semeval_csv_quotes_surfaces_with_commas(built, tmp_path, capsys):
     cfg, out = built
     tf = tmp_path / "triples.csv"
     tf.write_text('"big, red",dog,whiskers\napple,banana,red\n', encoding="utf-8")
+    capsys.readouterr()
     assert main(["classify", "--config", str(cfg), "--triples-file", str(tf)]) == 0
+    # stdout rows are CSV too; explanation lines are indented
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("  ")]
+    assert list(csv.reader(rows)) == [["big, red", "dog", "whiskers", "0"],
+                                      ["apple", "banana", "red", "1"]]
     with open(out / "semeval.csv", encoding="utf-8", newline="") as fh:
         assert [len(row) for row in csv.reader(fh)] == [4, 4]
     triples = _read_triples_file(out / "semeval.csv", load_lemma_table(DATA / "lemmas.tsv"))
@@ -142,12 +147,47 @@ def test_manifest_mismatch_refuses(built, tmp_path, capsys):
 
 def test_explain_round_trip(built, capsys):
     cfg, _ = built
-    main(["classify", "--config", str(cfg), "brandy", "whiskey", "wine"])
-    first = [l for l in capsys.readouterr().out.splitlines() if "definition of brandy" in l]
-    assert main(["explain", "--config", str(cfg), "brandy", "whiskey", "wine"]) == 0
-    rendered = capsys.readouterr().out.strip()
-    assert "definition of brandy" in rendered
-    assert rendered == first[0].strip()
+    # one verdict per component, plus a VFM verdict inherited through SOR
+    cases = [
+        ([], ("brandy", "whiskey", "wine"), "definition of brandy"),
+        ([], ("cognac", "whiskey", "french"), "edge cognac -HasProperty-> french"),
+        ([], ("cat", "lion", "whiskers"), "co-occurs with 'cat' in 3"),
+        (["--vfm-use-sor"], ("window", "lion", "round"), "via window -above-> table"),
+    ]
+    for flags, triple, marker in cases:
+        main(["classify", "--config", str(cfg), *flags, *triple])
+        first = [l for l in capsys.readouterr().out.splitlines() if marker in l]
+        assert main(["explain", "--config", str(cfg), *triple]) == 0
+        rendered = capsys.readouterr().out.strip()
+        assert marker in rendered
+        assert rendered == first[0].strip()
+
+
+def _without_evidence_field(rec):
+    del rec["explanation"]["pivot_evidence"][0]["sense"]
+    return rec
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rec: "{not json",
+    lambda rec: {**rec, "deciding_component": "XYZ"},
+    lambda rec: {**rec, "explanation": {**rec["explanation"], "template_id": "vfm.v9"}},
+    _without_evidence_field,
+    lambda rec: {**rec, "explanation": {**rec["explanation"], "pivot_evidence": []}},
+], ids=["not-json", "unknown-component", "foreign-template", "evidence-lacks-field",
+        "no-evidence"])
+def test_explain_malformed_stored_verdict_exits_2(built, tmp_path, capsys, corrupt):
+    cfg, out = built
+    tf = tmp_path / "triples.csv"
+    tf.write_text("apple,banana,red\nbrandy,whiskey,wine\n", encoding="utf-8")
+    main(["classify", "--config", str(cfg), "--triples-file", str(tf)])
+    lines = (out / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = corrupt(json.loads(lines[1]))
+    lines[1] = bad if isinstance(bad, str) else json.dumps(bad)
+    (out / "verdicts.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["explain", "--config", str(cfg), "brandy", "whiskey", "wine"]) == 2
+    assert "verdicts.jsonl:2:" in capsys.readouterr().err
 
 
 def test_explain_negative_verdict(built, capsys):

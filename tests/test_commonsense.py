@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discrimattr.commonsense import (Assertion, CkgStore, has_property_ckg,
-                                     load_assertions)
+from discrimattr.commonsense import Assertion, CkgStore, load_assertions
 from discrimattr.errors import DataFormatError
 
 from conftest import concepts_of, term
@@ -14,7 +13,7 @@ from conftest import concepts_of, term
 def test_negated_relations_excluded(ckg_store):
     assert all(not a.relation.startswith("Not") for a in ckg_store.assertions)
     # banana-red exists only as NotHasProperty in the raw dump
-    assert not has_property_ckg(term("banana"), term("red"), ckg_store).member
+    assert not ckg_store.has_property(term("banana"), term("red")).member
 
 
 def test_bidirectional_indexing(ckg_store):
@@ -22,7 +21,7 @@ def test_bidirectional_indexing(ckg_store):
 
 
 def test_membership_with_evidence(ckg_store):
-    res = has_property_ckg(term("cognac"), term("french"), ckg_store)
+    res = ckg_store.has_property(term("cognac"), term("french"))
     assert res.member
     assert res.evidence[0].assertion.relation == "HasProperty"
     assert res.evidence[0].direction == "forward"
@@ -32,28 +31,28 @@ def test_symmetric_lookup(ckg_store):
     concepts = concepts_of(ckg_store) + ["nothere"]
     for a in concepts:
         for b in concepts:
-            fwd = has_property_ckg(term(a, a), term(b, b), ckg_store).member
-            rev = has_property_ckg(term(b, b), term(a, a), ckg_store).member
+            fwd = ckg_store.has_property(term(a, a), term(b, b)).member
+            rev = ckg_store.has_property(term(b, b), term(a, a)).member
             assert fwd == rev
 
 
 def test_unknown_concept_false(ckg_store):
-    assert not has_property_ckg(term("zebra"), term("striped"), ckg_store).member
+    assert not ckg_store.has_property(term("zebra"), term("striped")).member
 
 
 def test_lemma_normalization_applies(ckg_store):
     # raw dump says "dancing"; the store holds the lemma "dance"
-    res = has_property_ckg(term("nightclub"), term("dancing", "dance"), ckg_store)
+    res = ckg_store.has_property(term("nightclub"), term("dancing", "dance"))
     assert res.member
 
 
 def test_multiword_whole_concept_default(ckg_store):
-    assert has_property_ckg(term("ice_cream", "ice_cream"), term("cold"), ckg_store).member
-    assert not has_property_ckg(term("cream"), term("cold"), ckg_store).member
+    assert ckg_store.has_property(term("ice_cream", "ice_cream"), term("cold")).member
+    assert not ckg_store.has_property(term("cream"), term("cold")).member
 
 
 def test_multiword_token_match_flag(ckg_store):
-    assert has_property_ckg(term("cream"), term("cold"), ckg_store, token_match=True).member
+    assert ckg_store.has_property(term("cream"), term("cold"), token_match=True).member
 
 
 def test_oracle_equivalence_linear_scan(ckg_store):
@@ -64,27 +63,27 @@ def test_oracle_equivalence_linear_scan(ckg_store):
                 (x.start == a and x.end == b) or (x.start == b and x.end == a)
                 for x in ckg_store.assertions
             )
-            assert has_property_ckg(term(a, a), term(b, b), ckg_store).member == brute
+            assert ckg_store.has_property(term(a, a), term(b, b)).member == brute
 
 
 def test_conceptnet_dump_format(data_dir, lemma_table):
     store = load_assertions(data_dir / "assertions_conceptnet.tsv", lemma_table,
                             language_filter="en")
-    assert has_property_ckg(term("cognac"), term("french"), store).member
-    assert not has_property_ckg(term("banana"), term("red"), store).member
+    assert store.has_property(term("cognac"), term("french")).member
+    assert not store.has_property(term("banana"), term("red")).member
     # French-language concepts filtered out
     assert "pomme" not in concepts_of(store)
     assert store.skipped == 1  # the malformed line
     # source weight is stored
-    ev = has_property_ckg(term("cognac"), term("french"), store).evidence[0]
+    ev = store.has_property(term("cognac"), term("french")).evidence[0]
     assert ev.assertion.weight == 2.0
 
 
 def test_relation_allowlist(data_dir, lemma_table):
     store = load_assertions(data_dir / "assertions.tsv", lemma_table,
                             relation_allowlist={"HasProperty"})
-    assert has_property_ckg(term("cognac"), term("french"), store).member
-    assert not has_property_ckg(term("cognac"), term("brandy"), store).member
+    assert store.has_property(term("cognac"), term("french")).member
+    assert not store.has_property(term("cognac"), term("brandy")).member
 
 
 def test_unreadable_file_errors(tmp_path, lemma_table):

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discrimattr.definitions import (SEMANTIC_ROLES, _build_store,
-                                     expand_supertypes, has_property_dbm,
-                                     load_definitions)
+from discrimattr.definitions import SEMANTIC_ROLES, _build_store, load_definitions
 from discrimattr.errors import DataFormatError
 from discrimattr.text import normalize
 from discrimattr.types import Term
@@ -66,17 +64,17 @@ def test_malformed_json_names_line(tmp_path, lemma_table, stopwords):
 
 
 def test_expand_no_supertypes(definition_store):
-    recs = expand_supertypes(term("body"), definition_store, max_depth=3)
+    recs = [rec for rec, _ in definition_store.expand(term("body"), max_depth=3)]
     assert [r.term.lemma for r in recs] == ["body"]
 
 
 def test_expand_planet_reaches_body(definition_store):
-    recs = expand_supertypes(term("planet"), definition_store, max_depth=1)
+    recs = [rec for rec, _ in definition_store.expand(term("planet"), max_depth=1)]
     assert [r.term.lemma for r in recs] == ["planet", "body"]
 
 
 def test_expand_depth_zero_is_own_records(definition_store):
-    recs = expand_supertypes(term("planet"), definition_store, max_depth=0)
+    recs = [rec for rec, _ in definition_store.expand(term("planet"), max_depth=0)]
     assert [r.term.lemma for r in recs] == ["planet"]
 
 
@@ -86,31 +84,31 @@ def test_expand_cycle_terminates(tmp_path, lemma_table, stopwords):
         {"term": "b", "sense": "s1", "segments": [{"role": "supertype", "text": "a"}]},
     ]
     store = load_definitions(write_jsonl(tmp_path / "cycle.jsonl", records), lemma_table, stopwords)
-    recs = expand_supertypes(term("a"), store, max_depth=5)
+    recs = [rec for rec, _ in store.expand(term("a"), max_depth=5)]
     assert [r.term.lemma for r in recs] == ["a", "b"]
 
 
 def test_has_property_brandy_wine(definition_store):
-    res = has_property_dbm(term("brandy"), term("wine"), definition_store)
+    res = definition_store.has_property(term("brandy"), term("wine"))
     assert res.member
     assert res.evidence[0].role == "differentia_event"
     assert res.evidence[0].term == "brandy"
 
 
 def test_has_property_inheritance_depth(definition_store):
-    assert not has_property_dbm(term("moon"), term("body"), definition_store, max_depth=0).member
-    res = has_property_dbm(term("moon"), term("body"), definition_store, max_depth=1)
+    assert not definition_store.has_property(term("moon"), term("body"), max_depth=0).member
+    res = definition_store.has_property(term("moon"), term("body"), max_depth=1)
     assert res.member
     assert res.evidence[0].path == ("moon", "satellite")
 
 
 def test_self_mention_false(definition_store):
-    assert not has_property_dbm(term("apple"), term("apple"), definition_store, max_depth=0).member
+    assert not definition_store.has_property(term("apple"), term("apple"), max_depth=0).member
 
 
 def test_unknown_term_empty(definition_store):
-    assert expand_supertypes(term("zzz"), definition_store, 3) == []
-    assert not has_property_dbm(term("zzz"), term("red"), definition_store).member
+    assert [rec for rec, _ in definition_store.expand(term("zzz"), 3)] == []
+    assert not definition_store.has_property(term("zzz"), term("red")).member
 
 
 def test_inheritance_monotonic(definition_store):
@@ -120,7 +118,7 @@ def test_inheritance_monotonic(definition_store):
         for a in attrs:
             prev = set()
             for depth in range(4):
-                res = has_property_dbm(term(t), term(a), definition_store, max_depth=depth)
+                res = definition_store.has_property(term(t), term(a), max_depth=depth)
                 ev = {(e.term, e.sense_id, e.role) for e in res.evidence}
                 assert prev <= ev
                 prev = ev
@@ -130,7 +128,7 @@ def test_evidence_soundness(reloaded_definition_store, lemma_table, stopwords):
     store = reloaded_definition_store
     for t in store.records:
         for a in ["body", "fruit", "wine", "yellow"]:
-            res = has_property_dbm(term(t), term(a), store)
+            res = store.has_property(term(t), term(a))
             for e in res.evidence:
                 lemmas = [x.lemma for x in normalize(e.text, lemma_table, stopwords)]
                 assert a in lemmas
@@ -148,7 +146,7 @@ def test_depth0_oracle_equivalence(reloaded_definition_store, lemma_table, stopw
     for t, recs in store.records.items():
         for a in vocab:
             brute = any(a in lemmas(s) for r in recs for s in r.segments)
-            res = has_property_dbm(term(t), Term(a, a), store, max_depth=0)
+            res = store.has_property(term(t), Term(a, a), max_depth=0)
             assert res.member == brute
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from discrimattr.errors import DataFormatError
-from discrimattr.visual import has_property_vfm, load_scene_graphs
+from discrimattr.visual import load_scene_graphs
 
 from conftest import term
 
@@ -25,29 +25,29 @@ def test_attribute_phrase_splits(visual_store):
 
 
 def test_membership_and_evidence(visual_store):
-    res = has_property_vfm(term("cat"), term("whiskers", "whisker"), visual_store)
+    res = visual_store.has_property(term("cat"), term("whiskers", "whisker"))
     assert res.member
     assert res.evidence[0].regions == (("2", "1"), ("2", "2"), ("3", "1"))
 
 
 def test_unseen_object_false(visual_store):
-    assert not has_property_vfm(term("lion"), term("whiskers", "whisker"), visual_store).member
+    assert not visual_store.has_property(term("lion"), term("whiskers", "whisker")).member
 
 
 def test_min_count_threshold(visual_store):
-    assert has_property_vfm(term("apple"), term("red"), visual_store, min_count=1).member
-    assert not has_property_vfm(term("apple"), term("red"), visual_store, min_count=2).member
+    assert visual_store.has_property(term("apple"), term("red"), min_count=1).member
+    assert not visual_store.has_property(term("apple"), term("red"), min_count=2).member
 
 
 def test_sor_inheritance(visual_store):
     # window is related to table in image 4; table is round there
-    assert not has_property_vfm(term("window"), term("round"), visual_store).member
-    res = has_property_vfm(term("window"), term("round"), visual_store, use_sor=True)
+    assert not visual_store.has_property(term("window"), term("round")).member
+    res = visual_store.has_property(term("window"), term("round"), use_sor=True)
     assert res.member
     assert res.evidence[0].via is not None
     assert res.evidence[0].object == "table"
     # inheritance stays within the same image: table is "light brown" only in image 5
-    assert not has_property_vfm(term("window"), term("brown"), visual_store, use_sor=True).member
+    assert not visual_store.has_property(term("window"), term("brown"), use_sor=True).member
 
 
 def test_threshold_monotonicity(visual_store):
@@ -55,7 +55,7 @@ def test_threshold_monotonicity(visual_store):
     for o, a in pairs:
         prev = True
         for mc in range(1, 6):
-            cur = has_property_vfm(term(o), term(a), visual_store, min_count=mc).member
+            cur = visual_store.has_property(term(o), term(a), min_count=mc).member
             assert prev or not cur  # raising min_count never flips false -> true
             prev = cur
 
@@ -65,8 +65,8 @@ def test_sor_superset(visual_store):
     attrs = {a for _, a in visual_store.oa_index}
     for o in objects:
         for a in attrs:
-            without = has_property_vfm(term(o), term(a), visual_store, use_sor=False).member
-            with_sor = has_property_vfm(term(o), term(a), visual_store, use_sor=True).member
+            without = visual_store.has_property(term(o), term(a), use_sor=False).member
+            with_sor = visual_store.has_property(term(o), term(a), use_sor=True).member
             assert with_sor or not without
 
 
@@ -93,7 +93,7 @@ def test_oracle_equivalence(visual_store, data_dir, lemma_table, stopwords):
 def test_evidence_groundedness(visual_store, data_dir):
     raw = {(str(r["image"]), str(r["region"]))
            for r in map(json.loads, (data_dir / "scene_regions.jsonl").read_text().splitlines())}
-    res = has_property_vfm(term("cat"), term("whiskers", "whisker"), visual_store)
+    res = visual_store.has_property(term("cat"), term("whiskers", "whisker"))
     assert set(res.evidence[0].regions) <= raw
 
 
@@ -106,7 +106,7 @@ def test_visual_genome_format(data_dir, lemma_table, stopwords):
     assert store.count("table", "round") == 1
     assert "apple" in store.sor_index and "table" in store.sor_index
     # SOR: apple is on the round table in image 102
-    assert has_property_vfm(term("apple"), term("round"), store, use_sor=True).member
+    assert store.has_property(term("apple"), term("round"), use_sor=True).member
 
 
 def test_malformed_records_skipped(tmp_path, lemma_table, stopwords):
