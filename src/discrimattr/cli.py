@@ -14,12 +14,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import commonsense, definitions, evaluation, text, visual
 from .cascade import STAGES, CascadeConfig, StoreSet, classify_batch, render_explanation
 from .commonsense import CkgStore
+from .definitions import DEFAULT_MAX_DEPTH
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
 from .index import dump_json, load_json
 from .text import lemma_of
@@ -47,41 +48,26 @@ class RunConfig:
     output_dir: str = "out"
     language: str = "en"
     stage_order: list[str] = field(default_factory=lambda: list(COMPONENTS))
-    dbm_max_depth: int = 3
-    vfm_min_count: int = 1
-    vfm_use_sor: bool = False
+    dbm_max_depth: int = DEFAULT_MAX_DEPTH
+    vfm_min_count: int = CascadeConfig.vfm_min_count
+    vfm_use_sor: bool = CascadeConfig.vfm_use_sor
     verbose: bool = False
 
     def cascade_config(self) -> CascadeConfig:
         try:
-            return self._cascade_config()
+            return CascadeConfig(
+                stage_order=tuple(self.stage_order),
+                dbm_max_depth=self.dbm_max_depth,
+                vfm_min_count=self.vfm_min_count,
+                vfm_use_sor=self.vfm_use_sor,
+            )
         except ValueError as e:
             raise ConfigError(str(e))
 
-    def _cascade_config(self) -> CascadeConfig:
-        return CascadeConfig(
-            stage_order=tuple(self.stage_order),
-            dbm_max_depth=self.dbm_max_depth,
-            vfm_min_count=self.vfm_min_count,
-            vfm_use_sor=self.vfm_use_sor,
-        )
-
     def to_dict(self):
-        return {
-            "definitions": self.definitions,
-            "scene_graphs": list(self.scene_graphs),
-            "assertions": self.assertions,
-            "lemma_table": self.lemma_table,
-            "stopwords": self.stopwords,
-            "gold": self.gold,
-            "annotations": self.annotations,
-            "output_dir": self.output_dir,
-            "language": self.language,
-            "stage_order": list(self.stage_order),
-            "dbm_max_depth": self.dbm_max_depth,
-            "vfm_min_count": self.vfm_min_count,
-            "vfm_use_sor": self.vfm_use_sor,
-        }
+        d = asdict(self)
+        del d["verbose"]  # a per-run switch: not in config files or the manifest
+        return d
 
     def input_paths(self):
         paths = {}
@@ -155,7 +141,7 @@ def _load_vocab(cfg):
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 

@@ -53,23 +53,23 @@ def _concept_matches(query_lemma: str, concept: str, token_match: bool) -> bool:
 class CkgStore:
     """Immutable after load; concurrent readers are safe."""
 
-    def __init__(self, assertions, by_pair, skipped=0):
+    def __init__(self, assertions, skipped=0):
+        """`assertions` as `build` leaves them: no `Not*`, sorted, unique."""
         self.assertions = assertions
         # (lemma, lemma) -> sorted indices of the assertions linking the two,
         # keyed in both orders; a self-loop is listed once
-        self.by_pair = by_pair
+        self.by_pair = {}
+        for i, a in enumerate(assertions):
+            self.by_pair.setdefault((a.start, a.end), []).append(i)
+            if a.end != a.start:
+                self.by_pair.setdefault((a.end, a.start), []).append(i)
         self.skipped = skipped
 
     @classmethod
     def build(cls, assertions, skipped=0):
         assertions = [a for a in assertions if not a.relation.startswith("Not")]
         assertions = sorted(set(assertions), key=lambda a: (a.relation, a.start, a.end, a.weight))
-        by_pair = {}
-        for i, a in enumerate(assertions):
-            by_pair.setdefault((a.start, a.end), []).append(i)
-            if a.end != a.start:
-                by_pair.setdefault((a.end, a.start), []).append(i)
-        return cls(assertions=assertions, by_pair=by_pair, skipped=skipped)
+        return cls(assertions, skipped)
 
     def has_property(self, term: Term, attribute: Term, token_match: bool = False) -> MembershipResult:
         """True iff any assertion connects the two lemmas, either direction.
@@ -100,7 +100,7 @@ class CkgStore:
     @classmethod
     def from_dict(cls, data):
         assertions = [Assertion.from_dict(a) for a in data["assertions"]]
-        return cls.build(assertions, skipped=data.get("skipped", 0))
+        return cls(assertions, data.get("skipped", 0))
 
 
 def _concept_from_uri(uri, language_filter):

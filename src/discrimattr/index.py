@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 from .errors import DataFormatError, EmptyCorpusError
@@ -109,11 +110,48 @@ class ExplicitVectorSpace:
         )
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_PIECE = 256  # most entries per encoder call: bounds the encoder's chunk list
+
+
+def _nested(value):
+    return isinstance(value, dict) or isinstance(value, list) and value and isinstance(value[0], dict)
+
+
+def _write(obj, write):
+    """`write(_ENCODER.encode(obj))` in pieces of at most `_PIECE` entries; a
+    dict entry whose value is a dict or a list of dicts is written by recursion."""
+    if isinstance(obj, list) and _nested(obj):
+        for i in range(0, len(obj), _PIECE):
+            write(("," if i else "[") + _ENCODER.encode(obj[i:i + _PIECE])[1:-1])
+        write("]")
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        keys = sorted(obj)
+        for i in range(0, len(keys), _PIECE):
+            part = {k: obj[k] for k in keys[i:i + _PIECE]}
+            if any(map(_nested, part.values())):
+                for j, key in enumerate(part):
+                    write(("," if i or j else "{") + _ENCODER.encode(key) + ":")
+                    _write(part[key], write)
+            else:
+                write(("," if i else "{") + _ENCODER.encode(part)[1:-1])
+        write("}")
+    else:
+        write(_ENCODER.encode(obj))
+
+
 def dump_json(obj: dict, path) -> None:
-    """Canonical JSON dump: sorted keys, fixed separators, byte-stable."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        fh.write("\n")
+    """Canonical, byte-stable JSON dump; a failed dump leaves `path` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            _write(obj, fh.write)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_json(path) -> dict:

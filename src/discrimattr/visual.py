@@ -101,14 +101,9 @@ class VisualStore:
 
     def to_dict(self):
         return {
-            "oa_index": {
-                f"{o}\t{a}": [list(r) for r in regions]
-                for (o, a), regions in sorted(self.oa_index.items())
-            },
-            "sor_index": {
-                lemma: [r.to_dict() for r in rels]
-                for lemma, rels in sorted(self.sor_index.items())
-            },
+            # `dump_json` sorts the keys and writes the region tuples as arrays
+            "oa_index": {f"{o}\t{a}": regions for (o, a), regions in self.oa_index.items()},
+            "sor_index": {lemma: [r.to_dict() for r in rels] for lemma, rels in self.sor_index.items()},
             "skipped": self.skipped,
         }
 
@@ -128,9 +123,10 @@ class _Builder:
     def __init__(self, lemma_table, stopwords):
         self.lemma_table = lemma_table
         self.stopwords = stopwords
-        self.oa = {}
+        self.oa = {}  # (object_lemma, attr_lemma) -> [(image, region)], deduped in finish()
         self.sor = {}
         self.skipped = 0
+        self._lemmas = {}  # lowercased attribute phrase -> its lemmas
 
     def add_region(self, image_id, region_id, object_name, attributes):
         try:
@@ -141,10 +137,11 @@ class _Builder:
         key_pair = (str(image_id), str(region_id))
         for attr in attributes:
             # attribute phrases split into tokens, each indexed separately
-            for tok in normalize(attr, self.lemma_table, self.stopwords):
-                regions = self.oa.setdefault((obj, tok.lemma), [])
-                if key_pair not in regions:
-                    regions.append(key_pair)
+            phrase = attr.lower()  # a copy: keeping `attr` pins the decoded file's memory
+            if phrase not in self._lemmas:
+                self._lemmas[phrase] = [t.lemma for t in normalize(phrase, self.lemma_table, self.stopwords)]
+            for lemma in self._lemmas[phrase]:
+                self.oa.setdefault((obj, lemma), []).append(key_pair)
 
     def add_relationship(self, image_id, subject, predicate, object_name):
         try:
@@ -161,7 +158,7 @@ class _Builder:
             self.sor.setdefault(endpoint, []).append(rel)
 
     def finish(self):
-        oa = {k: sorted(v) for k, v in self.oa.items()}
+        oa = {k: sorted(set(v)) for k, v in self.oa.items()}
         sor = {k: sorted(v, key=lambda r: (r.image_id, r.subject, r.predicate, r.object))
                for k, v in self.sor.items()}
         return VisualStore(oa_index=oa, sor_index=sor, skipped=self.skipped)

@@ -12,14 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from discrimattr import commonsense, definitions, visual
-from discrimattr.cascade import CascadeConfig, StoreSet, classify, member
+from discrimattr import definitions
+from discrimattr.cascade import CascadeConfig, classify, member
 from discrimattr.cli import main
-from discrimattr.evaluation import (load_annotations, load_gold, macro_f1,
-                                    overlap_analysis)
+from discrimattr.evaluation import macro_f1, overlap_analysis
 from discrimattr.index import ExplicitVectorSpace
 from discrimattr.text import lemma_of, normalize
-from discrimattr.types import COMPONENTS, Term, Triple
+from discrimattr.types import COMPONENTS, Term
 
 from conftest import concepts_of, reload_definitions, term
 from test_cascade import random_stores, triple

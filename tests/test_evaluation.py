@@ -1,7 +1,7 @@
 import pytest
 
 from discrimattr.errors import DataFormatError
-from discrimattr.evaluation import (EvalReport, build_report, confusion,
+from discrimattr.evaluation import (build_report, confusion,
                                     error_breakdown, load_annotations,
                                     load_gold, macro_f1, overlap_analysis,
                                     per_category_recall, render_report)

@@ -1,8 +1,9 @@
+import json
 import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError, EmptyCorpusError
@@ -112,3 +113,35 @@ def test_round_trip_byte_identical(tmp_path):
     reloaded = ExplicitVectorSpace.from_dict(load_json(p1))
     dump_json(reloaded.to_dict(), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.dictionaries(st.text(), inner, max_size=4), max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@example({"é": [{}, [], {"z": [[1, 2.5], []], "a": None}], "": {"ß": [True, "ü"]}})
+@example({f"k{i}": [{"i": i}] if i % 300 == 7 else [i] for i in range(700)})  # several pieces
+@example([{"i": i} for i in range(600)])
+def test_dump_json_bytes_match_one_shot_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("dump") / "x.json"
+    dump_json(obj, path)
+    expected = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    assert path.read_bytes() == (expected + "\n").encode("utf-8")
+
+
+def test_failed_dump_json_keeps_old_file(tmp_path):
+    path = tmp_path / "index.json"
+    dump_json({"a": [1]}, path)
+    good = path.read_bytes()
+    with pytest.raises(TypeError):
+        dump_json({"a": [1], "b": object()}, path)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["index.json"]

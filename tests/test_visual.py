@@ -133,3 +133,17 @@ def test_duplicate_region_not_double_counted(tmp_path, lemma_table, stopwords):
     p.write_text(line + line, encoding="utf-8")
     store = load_scene_graphs([p], lemma_table, stopwords)
     assert store.count("cat", "black") == 1
+
+
+def test_repeated_attribute_lemma_counts_region_once(tmp_path):
+    path = tmp_path / "scenes.jsonl"
+    rows = [
+        {"image": "9", "region": "2", "object": "cat", "attributes": ["black", "black", "Black!"]},
+        {"image": "9", "region": "1", "object": "cat", "attributes": ["black"]},
+        {"image": "1", "region": "5", "object": "cat", "attributes": ["black cats"]},
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    store = load_scene_graphs([path], {"cats": "cat"}, set())
+    assert store.oa_index[("cat", "black")] == [("1", "5"), ("9", "1"), ("9", "2")]
+    for regions in store.oa_index.values():
+        assert regions == sorted(set(regions))
