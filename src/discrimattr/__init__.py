@@ -6,7 +6,7 @@ from .cascade import (CascadeConfig, Explanation, StoreSet, Verdict, classify,
 from .commonsense import CkgStore, load_assertions
 from .definitions import DefinitionStore, load_definitions
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
-from .index import ExplicitVectorSpace, Posting
+from .index import ExplicitVectorSpace
 from .text import normalize
 from .types import MembershipResult, Term, Triple
 from .visual import VisualStore, load_scene_graphs
@@ -16,7 +16,7 @@ __all__ = [
     "classify_batch", "render_explanation", "CkgStore",
     "load_assertions", "DefinitionStore", "load_definitions", "ConfigError",
     "DataFormatError", "DiscrimAttrError", "EvidenceError", "ExplicitVectorSpace",
-    "Posting", "normalize", "MembershipResult", "Term", "Triple", "VisualStore",
+    "normalize", "MembershipResult", "Term", "Triple", "VisualStore",
     "load_scene_graphs",
 ]
 

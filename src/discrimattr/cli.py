@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .cascade import STAGES, CascadeConfig, StoreSet, classify_batch, render_exp
 from .commonsense import CkgStore
 from .definitions import DEFAULT_MAX_DEPTH
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
-from .index import dump_json, load_json
+from .index import FORMAT_VERSION, dump_json, load_json
 from .text import lemma_of
 from .types import COMPONENTS, Term, Triple
 from .visual import VisualStore
@@ -34,6 +35,7 @@ STORE_FILES = {
     "commonsense": "commonsense.index.json",
     "visual": "visual.index.json",
 }
+_PATH_KEYS = ("definitions", "assertions", "lemma_table", "stopwords", "gold", "annotations")
 
 
 @dataclass
@@ -54,15 +56,12 @@ class RunConfig:
     verbose: bool = False
 
     def cascade_config(self) -> CascadeConfig:
-        try:
-            return CascadeConfig(
-                stage_order=tuple(self.stage_order),
-                dbm_max_depth=self.dbm_max_depth,
-                vfm_min_count=self.vfm_min_count,
-                vfm_use_sor=self.vfm_use_sor,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e))
+        return CascadeConfig(
+            stage_order=tuple(self.stage_order),
+            dbm_max_depth=self.dbm_max_depth,
+            vfm_min_count=self.vfm_min_count,
+            vfm_use_sor=self.vfm_use_sor,
+        )
 
     def to_dict(self):
         d = asdict(self)
@@ -105,6 +104,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigError(f"cannot read config: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}")
+        if type(raw) is not dict:
+            raise ConfigError("config must be a JSON object")
         unknown = set(raw) - set(cfg.to_dict())
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -113,7 +114,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
-    for attr in ("definitions", "assertions", "lemma_table", "stopwords", "gold", "annotations"):
+    _check_values(cfg)
+    for attr in _PATH_KEYS:
         value = getattr(cfg, attr)
         if value:
             setattr(cfg, attr, _resolve(value, base))
@@ -122,20 +124,33 @@ def load_config(path=None, overrides=None) -> RunConfig:
     return cfg
 
 
+def _check_values(cfg):
+    def check(key, ok, expected):
+        if not ok(getattr(cfg, key)):
+            raise ConfigError(f"config key {key!r} must be {expected}, not {getattr(cfg, key)!r}")
+
+    # `type(v) is int` also rejects bools
+    check("dbm_max_depth", lambda v: type(v) is int and v >= 0, "an integer >= 0")
+    check("vfm_min_count", lambda v: type(v) is int and v >= 1, "an integer >= 1")
+    check("vfm_use_sor", lambda v: type(v) is bool, "true or false")
+    check("scene_graphs", lambda v: type(v) is list and all(type(s) is str for s in v),
+          "a list of strings")
+    check("stage_order", lambda v: type(v) is list and sorted(map(str, v)) == sorted(COMPONENTS),
+          f"a permutation of {list(COMPONENTS)}")
+    for key in ("output_dir", "language"):
+        check(key, lambda v: type(v) is str, "a string")
+    for key in _PATH_KEYS:
+        check(key, lambda v: v is None or type(v) is str, "a string or null")
+
+
 def _validate_inputs(cfg):
     for name, path in cfg.input_paths().items():
         if not Path(path).exists():
             raise ConfigError(f"input path for {name!r} does not exist: {path}")
 
 
-def _load_vocab(cfg):
-    lemma_table = (
-        text.load_lemma_table(cfg.lemma_table) if cfg.lemma_table else text.default_lemma_table()
-    )
-    stopwords = (
-        text.load_stopwords(cfg.stopwords) if cfg.stopwords else text.default_stopwords()
-    )
-    return lemma_table, stopwords
+def _load_lemma_table(cfg):
+    return text.load_lemma_table(cfg.lemma_table) if cfg.lemma_table else text.default_lemma_table()
 
 
 def _sha256(path):
@@ -148,6 +163,7 @@ def _sha256(path):
 
 def _manifest(cfg):
     return {
+        "index_format": FORMAT_VERSION,
         "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in cfg.input_paths().items()},
         "config": cfg.to_dict(),
     }
@@ -155,7 +171,8 @@ def _manifest(cfg):
 
 def cmd_build(cfg) -> int:
     _validate_inputs(cfg)
-    lemma_table, stopwords = _load_vocab(cfg)
+    lemma_table = _load_lemma_table(cfg)
+    stopwords = text.load_stopwords(cfg.stopwords) if cfg.stopwords else text.default_stopwords()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -197,26 +214,41 @@ def _check_manifest(cfg, out):
         raise DataFormatError(
             f"no manifest in {out}; run `discrimattr build` first", path=str(manifest_path)
         )
-    manifest = load_json(manifest_path)
-    for name, entry in manifest["inputs"].items():
-        if not Path(entry["path"]).exists() or _sha256(entry["path"]) != entry["sha256"]:
-            raise DataFormatError(
-                f"input {name!r} changed since build; rebuild the indexes",
-                path=entry["path"],
-            )
+    with _malformed(manifest_path):
+        manifest = load_json(manifest_path)
+        index_format = manifest.get("index_format", 1)  # formats before 2 did not record it
+        inputs = [(name, str(e["path"]), e["sha256"]) for name, e in manifest["inputs"].items()]
+    if index_format != FORMAT_VERSION:
+        raise DataFormatError(f"indexes built in index format {index_format}, this version reads "
+                              f"{FORMAT_VERSION}; rebuild the indexes", path=str(manifest_path))
+    for name, path, digest in inputs:
+        if not Path(path).exists() or _sha256(path) != digest:
+            raise DataFormatError(f"input {name!r} changed since build; rebuild the indexes",
+                                  path=path)
     return manifest
+
+
+@contextmanager
+def _malformed(path):
+    """A failure to read or decode `path` inside the block is a data error naming it."""
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise DataFormatError(f"cannot load ({type(e).__name__}: {e}); "
+                              "run `discrimattr build`", path=str(path))
 
 
 def _load_stores(cfg) -> StoreSet:
     out = Path(cfg.output_dir)
     _check_manifest(cfg, out)
-    for f in STORE_FILES.values():
-        if not (out / f).exists():
-            raise DataFormatError(f"missing index file; run `discrimattr build`", path=str(out / f))
-    dstore = definitions.store_from_dict(load_json(out / STORE_FILES["definitions"]))
-    cstore = CkgStore.from_dict(load_json(out / STORE_FILES["commonsense"]))
-    vstore = VisualStore.from_dict(load_json(out / STORE_FILES["visual"]))
-    return StoreSet(definitions=dstore, commonsense=cstore, visual=vstore)
+
+    def load(name, from_dict):
+        with _malformed(out / STORE_FILES[name]):
+            return from_dict(load_json(out / STORE_FILES[name]))
+
+    return StoreSet(definitions=load("definitions", definitions.store_from_dict),
+                    commonsense=load("commonsense", CkgStore.from_dict),
+                    visual=load("visual", VisualStore.from_dict))
 
 
 def _term(surface, lemma_table):
@@ -257,7 +289,7 @@ def _write_verdicts(results, out):
 
 def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
     stores = _load_stores(cfg)
-    lemma_table, _ = _load_vocab(cfg)
+    lemma_table = _load_lemma_table(cfg)
     if triple_args:
         triples = [Triple(*(_term(a, lemma_table) for a in triple_args))]
     elif triples_file:
@@ -281,7 +313,7 @@ def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
 
 
 def cmd_explain(cfg, triple_args) -> int:
-    lemma_table, _ = _load_vocab(cfg)
+    lemma_table = _load_lemma_table(cfg)
     triple = Triple(*(_term(a, lemma_table) for a in triple_args))
     path = Path(cfg.output_dir) / "verdicts.jsonl"
     if not path.exists():
@@ -314,7 +346,7 @@ def cmd_evaluate(cfg) -> int:
     if not cfg.gold:
         raise ConfigError("evaluate requires a gold file (config key 'gold' or --gold)")
     stores = _load_stores(cfg)
-    lemma_table, _ = _load_vocab(cfg)
+    lemma_table = _load_lemma_table(cfg)
     gold = evaluation.load_gold(cfg.gold, lemma_table)
     annotations = None
     if cfg.annotations:

@@ -70,14 +70,12 @@ class DefinitionEvidence:
 
 
 class DefinitionStore:
-    """Immutable after load, except for a cache of grouped postings that
-    fills per attribute on first query; concurrent readers are safe."""
+    """Immutable after load; concurrent readers are safe."""
 
     def __init__(self, records, supertype_edges, space):
         self.records = records  # lemma -> [DefinitionRecord]
         self.supertype_edges = supertype_edges  # lemma -> sorted tuple of lemmas
         self.space = space
-        self._fields = {}  # attribute lemma -> {document_id: {field}}
 
     def expand(self, term: Term, max_depth: int = DEFAULT_MAX_DEPTH):
         """Breadth-first supertype expansion.
@@ -112,12 +110,7 @@ class DefinitionStore:
 
         The attribute's postings are intersected with the supertype
         expansion; evidence follows expansion order, then segment order."""
-        fields = self._fields.get(attribute.lemma)
-        if fields is None:
-            fields = {}
-            for p in self.space.documents_containing(attribute.lemma):
-                fields.setdefault(p.document_id, set()).add(p.field)
-            self._fields[attribute.lemma] = fields
+        fields = self.space.documents_containing(attribute.lemma)
         evidence = []
         for rec, path in self.expand(term, max_depth) if fields else ():
             found = fields.get(rec.term.lemma, ())

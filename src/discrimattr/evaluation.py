@@ -7,7 +7,9 @@ Category annotations: CSV `pivot,comparison,attribute,category[;category...]`.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .errors import DataFormatError
@@ -193,8 +195,11 @@ def _overlap_row(sets_by_component, denominator):
         frac = len(inter & denominator) / len(denominator) if denominator else None
         row["^".join(group)] = frac
         fractions.append(frac)
+    # a plain left fold: from Python 3.12 on, sum() of floats is compensated and
+    # can change the last digit that report.json prints
     row["average"] = (
-        sum(fractions) / len(fractions) if all(f is not None for f in fractions) else None
+        functools.reduce(operator.add, fractions) / len(fractions)
+        if all(f is not None for f in fractions) else None
     )
     return row
 

@@ -2,46 +2,34 @@
 
 Documents are (document_id, field, tokens) triples; a document_id may span
 several fields (e.g. the semantic-role segments of one definition sense).
-Posting weights are idf-derived: ln(N / df), with unseen lemmas mapped to
-the sentinel ln(N + 1).
+Each lemma's postings map the documents containing it to their fields, so
+its document frequency is their count and its idf is ln(N / df), with
+unseen lemmas mapped to the sentinel ln(N + 1).
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass
 
 from .errors import DataFormatError, EmptyCorpusError
 
-FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True, order=True)
-class Posting:
-    document_id: str
-    field: str
-    weight: float
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("posting weight must be nonnegative")
+FORMAT_VERSION = 2  # of the index files; `build` records it in the manifest
 
 
 class ExplicitVectorSpace:
-    """Inverted index over lemmas with idf posting weights.
-
-    Immutable after `build`; safe for concurrent readers.
+    """Inverted index: lemma -> {document_id: [field, ...]}, ids and fields
+    sorted. Persisted and queried in this one form; immutable after `build`,
+    so concurrent readers are safe.
     """
 
-    def __init__(self, postings, document_count, document_frequency):
+    def __init__(self, postings, document_count):
         self.postings = postings
         self.document_count = document_count
-        self.document_frequency = document_frequency
 
     @classmethod
     def build(cls, documents) -> "ExplicitVectorSpace":
-        """Build from (document_id, field, token-list) records.
+        """Build from (document_id, field, lemma-list) records.
 
         Duplicate (document_id, field) pairs with identical tokens are
         collapsed; with differing tokens they are rejected.
@@ -49,65 +37,36 @@ class ExplicitVectorSpace:
         seen = {}
         for doc_id, fld, tokens in documents:
             key = (str(doc_id), str(fld))
-            toks = tuple(t.lemma if hasattr(t, "lemma") else str(t) for t in tokens)
+            toks = tuple(tokens)
             if key in seen and seen[key] != toks:
                 raise DataFormatError(
                     f"duplicate document ({key[0]!r}, field {key[1]!r}) with differing tokens"
                 )
             seen[key] = toks
 
-        doc_ids = sorted({doc_id for doc_id, _ in seen})
-        n = len(doc_ids)
-
-        docs_with = {}
-        for (doc_id, _), toks in seen.items():
-            for lemma in toks:
-                docs_with.setdefault(lemma, set()).add(doc_id)
-        df = {lemma: len(ids) for lemma, ids in docs_with.items()}
-
         postings = {}
         for (doc_id, fld), toks in sorted(seen.items()):
             for lemma in set(toks):
-                w = math.log(n / df[lemma])
-                postings.setdefault(lemma, []).append(Posting(doc_id, fld, w))
-        for plist in postings.values():
-            plist.sort()
-        return cls(postings=postings, document_count=n, document_frequency=df)
+                postings.setdefault(lemma, {}).setdefault(doc_id, []).append(fld)
+        return cls(postings, document_count=len({doc_id for doc_id, _ in seen}))
 
     def idf(self, lemma: str) -> float:
         """ln(N/df); unseen lemmas get the sentinel ln(N+1)."""
         if self.document_count == 0:
             raise EmptyCorpusError("idf undefined on an empty space")
-        df = self.document_frequency.get(lemma)
-        if df is None:
-            return math.log(self.document_count + 1)
-        return math.log(self.document_count / df)
+        df = len(self.documents_containing(lemma))
+        return math.log(self.document_count / df if df else self.document_count + 1)
 
-    def documents_containing(self, lemma: str) -> list[Posting]:
-        return self.postings.get(lemma, [])
+    def documents_containing(self, lemma: str) -> dict:
+        """{document_id: [field, ...]} of the documents holding the lemma."""
+        return self.postings.get(lemma, {})
 
     def to_dict(self):
-        return {
-            "format_version": FORMAT_VERSION,
-            "document_count": self.document_count,
-            "document_frequency": dict(sorted(self.document_frequency.items())),
-            "postings": {
-                lemma: [[p.document_id, p.field, p.weight] for p in plist]
-                for lemma, plist in sorted(self.postings.items())
-            },
-        }
+        return {"document_count": self.document_count, "postings": self.postings}
 
     @classmethod
     def from_dict(cls, data):
-        postings = {
-            lemma: [Posting(d, f, w) for d, f, w in plist]
-            for lemma, plist in data["postings"].items()
-        }
-        return cls(
-            postings=postings,
-            document_count=data["document_count"],
-            document_frequency=dict(data["document_frequency"]),
-        )
+        return cls(data["postings"], data["document_count"])
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))

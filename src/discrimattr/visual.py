@@ -66,11 +66,19 @@ class RegionEvidence:
 
 
 class VisualStore:
-    """Immutable after load; concurrent readers are safe."""
+    """Immutable after load; concurrent readers are safe. Regions and
+    relationships are read as built (tuples) or as decoded (lists) alike."""
 
-    def __init__(self, oa_index, sor_index, skipped=0):
-        self.oa_index = oa_index  # (object_lemma, attr_lemma) -> [(image, region)]
-        self.sor_index = sor_index  # object_lemma -> [RelationshipAnnotation]
+    def __init__(self, oa_index, relationships, skipped=0):
+        self.oa_index = oa_index  # (object_lemma, attr_lemma) -> sorted [image, region]s
+        self.relationships = relationships  # sorted, duplicates kept
+        # endpoint lemma -> its relationships, in list order; a self-relationship
+        # is listed once
+        self.sor_index = {}
+        for rel in relationships:
+            self.sor_index.setdefault(rel[1], []).append(rel)
+            if rel[3] != rel[1]:
+                self.sor_index.setdefault(rel[3], []).append(rel)
         self.skipped = skipped
 
     def count(self, object_lemma: str, attribute_lemma: str) -> int:
@@ -82,41 +90,37 @@ class VisualStore:
         use_sor) a related object in the same image does."""
         direct = self.oa_index.get((obj.lemma, attribute.lemma), ())
         if len(direct) >= min_count:
-            ev = RegionEvidence(obj.lemma, attribute.lemma, tuple(direct))
+            ev = RegionEvidence(obj.lemma, attribute.lemma, tuple(map(tuple, direct)))
             return MembershipResult(member=True, evidence=(ev,))
         if use_sor:
             for rel in self.sor_index.get(obj.lemma, ()):
-                for other in (rel.subject, rel.object):
+                image, subject, _, object_ = rel
+                for other in (subject, object_):
                     if other == obj.lemma:
                         continue
                     regions = [
                         r
                         for r in self.oa_index.get((other, attribute.lemma), ())
-                        if r[0] == rel.image_id
+                        if r[0] == image
                     ]
                     if len(regions) >= min_count:
-                        ev = RegionEvidence(other, attribute.lemma, tuple(regions), via=rel)
+                        ev = RegionEvidence(other, attribute.lemma, tuple(map(tuple, regions)),
+                                            via=RelationshipAnnotation(*rel))
                         return MembershipResult(member=True, evidence=(ev,))
         return MembershipResult(member=False)
 
     def to_dict(self):
         return {
-            # `dump_json` sorts the keys and writes the region tuples as arrays
+            # `dump_json` sorts the keys and writes tuples as arrays
             "oa_index": {f"{o}\t{a}": regions for (o, a), regions in self.oa_index.items()},
-            "sor_index": {lemma: [r.to_dict() for r in rels] for lemma, rels in self.sor_index.items()},
+            "relationships": self.relationships,
             "skipped": self.skipped,
         }
 
     @classmethod
     def from_dict(cls, data):
-        oa = {}
-        for key, regions in data["oa_index"].items():
-            o, a = key.split("\t")
-            oa[(o, a)] = [tuple(r) for r in regions]
-        sor = {}
-        for lemma, rels in data["sor_index"].items():
-            sor[lemma] = [RelationshipAnnotation.from_dict(r) for r in rels]
-        return cls(oa_index=oa, sor_index=sor, skipped=data.get("skipped", 0))
+        oa = {tuple(key.split("\t")): regions for key, regions in data["oa_index"].items()}
+        return cls(oa, data["relationships"], data.get("skipped", 0))
 
 
 class _Builder:
@@ -124,7 +128,7 @@ class _Builder:
         self.lemma_table = lemma_table
         self.stopwords = stopwords
         self.oa = {}  # (object_lemma, attr_lemma) -> [(image, region)], deduped in finish()
-        self.sor = {}
+        self.relationships = []  # (image, subject, predicate, object), sorted in finish()
         self.skipped = 0
         self._lemmas = {}  # lowercased attribute phrase -> its lemmas
 
@@ -145,23 +149,16 @@ class _Builder:
 
     def add_relationship(self, image_id, subject, predicate, object_name):
         try:
-            rel = RelationshipAnnotation(
-                image_id=str(image_id),
-                subject=lemma_of(subject, self.lemma_table),
-                predicate=lemma_of(predicate, self.lemma_table),
-                object=lemma_of(object_name, self.lemma_table),
-            )
+            rel = (str(image_id), lemma_of(subject, self.lemma_table),
+                   lemma_of(predicate, self.lemma_table), lemma_of(object_name, self.lemma_table))
         except ValueError:
             self.skipped += 1
             return
-        for endpoint in {rel.subject, rel.object}:
-            self.sor.setdefault(endpoint, []).append(rel)
+        self.relationships.append(rel)
 
     def finish(self):
         oa = {k: sorted(set(v)) for k, v in self.oa.items()}
-        sor = {k: sorted(v, key=lambda r: (r.image_id, r.subject, r.predicate, r.object))
-               for k, v in self.sor.items()}
-        return VisualStore(oa_index=oa, sor_index=sor, skipped=self.skipped)
+        return VisualStore(oa, sorted(self.relationships), skipped=self.skipped)
 
 
 def _vg_name(node):

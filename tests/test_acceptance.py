@@ -72,9 +72,9 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
         vocab = {t for _, _, toks in docs for t in toks}
         for lemma in vocab:
             df = sum(1 for _, _, toks in docs if lemma in toks)
-            assert space.document_frequency[lemma] == df
+            assert len(space.documents_containing(lemma)) == df
             assert space.idf(lemma) == pytest.approx(math.log(len(docs) / df))
-            indexed = {p.document_id for p in space.documents_containing(lemma)}
+            indexed = set(space.documents_containing(lemma))
             assert indexed == {d for d, _, toks in docs if lemma in toks}
 
     # dbm depth-0 membership, on the store as reloaded from its index, vs

@@ -3,8 +3,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from discrimattr.cli import _read_triples_file, main
+from discrimattr.cli import _read_triples_file, load_config, main
+from discrimattr.errors import ConfigError
 from discrimattr.text import load_lemma_table
 
 DATA = Path(__file__).parent / "data"
@@ -143,6 +146,57 @@ def test_manifest_mismatch_refuses(built, tmp_path, capsys):
     manifest["inputs"]["definitions"]["path"] = str(defs2)
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["classify", "--config", str(cfg), "a", "b", "c"]) == 2
+
+
+def _without_index_format(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest.pop("index_format", None)
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return out / "manifest.json"
+
+
+def _truncated_visual_index(out):
+    path = out / "visual.index.json"
+    path.write_bytes(path.read_bytes()[:40])
+    return path
+
+
+@pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index],
+                         ids=["manifest-without-index-format", "truncated-index"])
+def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
+    cfg, out = built
+    path = corrupt(out)
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("vfm_min_count", 0), ("dbm_max_depth", -1), ("dbm_max_depth", "3"),
+    ("vfm_use_sor", "no"), ("scene_graphs", "objects.json"),
+])
+def test_bad_config_value_exits_1(built, tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, name="bad.json", **{key: value})
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_not_an_object_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("3", encoding="utf-8")
+    assert main(["classify", "--config", str(path), "a", "b", "c"]) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
+@given(st.sampled_from([("dbm_max_depth", 0), ("vfm_min_count", 1)]), st.integers(-5, 5))
+def test_numeric_config_values_valid_exactly_in_range(key_floor, value):
+    key, floor = key_floor
+    if value >= floor:
+        assert getattr(load_config(overrides={key: value}), key) == value
+    else:
+        with pytest.raises(ConfigError):
+            load_config(overrides={key: value})
 
 
 def test_explain_round_trip(built, capsys):

@@ -26,10 +26,9 @@ def test_supertype_head_extraction(definition_store):
 
 
 def test_space_documents_are_segments(definition_store):
-    postings = definition_store.space.documents_containing("wine")
-    assert [(p.document_id, p.field) for p in postings] == [
-        ("brandy", "brandy.n.01/differentia_event")
-    ]
+    assert definition_store.space.documents_containing("wine") == {
+        "brandy": ["brandy.n.01/differentia_event"]
+    }
 
 
 def test_empty_file(tmp_path, lemma_table, stopwords):

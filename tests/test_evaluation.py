@@ -194,6 +194,16 @@ def test_overlap_hand_computed():
         assert out["true"]["DBM^CKG^VFM"] <= out["true"][key] <= 1
 
 
+def test_overlap_average_sums_left_to_right():
+    # fractions 1/3, 1/3, 1, 1/3: a compensated sum gives 0.5, a left fold one ulp
+    # less; report.json must print the same digits on every Python version
+    gold = make_gold([(f"p{i}", f"c{i}", "a", True) for i in range(3)])
+    every = keyed(gold, [True, True, True])
+    comp = {"DBM": keyed(gold, [False, False, True]), "CKG": every, "VFM": every}
+    out = overlap_analysis(comp, every, gold)
+    assert out["true"]["average"] == (1 / 3 + 1 / 3 + 1.0 + 1 / 3) / 4
+
+
 def test_overlap_zero_combined_tp_undefined():
     gold = make_gold([("a", "b", "x", True)])
     none = keyed(gold, [False])

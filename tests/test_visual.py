@@ -1,9 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError
-from discrimattr.visual import load_scene_graphs
+from discrimattr.visual import VisualStore, _Builder, load_scene_graphs
 
 from conftest import term
 
@@ -147,3 +149,31 @@ def test_repeated_attribute_lemma_counts_region_once(tmp_path):
     assert store.oa_index[("cat", "black")] == [("1", "5"), ("9", "1"), ("9", "2")]
     for regions in store.oa_index.values():
         assert regions == sorted(set(regions))
+
+
+objects = ["cat", "mat", "x"]
+attributes = ["black", "round", "red"]
+images = st.sampled_from(["1", "2"])
+region_sets = st.lists(st.tuples(images, st.sampled_from(["1", "2", "3"]),
+                                 st.sampled_from(objects),
+                                 st.lists(st.sampled_from(attributes), max_size=3)),
+                       max_size=10)
+relationship_sets = st.lists(st.tuples(images, st.sampled_from(objects), st.just("on"),
+                                       st.sampled_from(objects)), max_size=6)
+
+
+@given(region_sets, relationship_sets)
+def test_reloaded_store_answers_like_built(regions, relationships):
+    builder = _Builder({}, set())
+    for region in regions + regions[:2]:  # some regions repeated
+        builder.add_region(*region)
+    for rel in relationships + [("1", "x", "on", "x")]:  # one self-relationship
+        builder.add_relationship(*rel)
+    built = builder.finish()
+    reloaded = VisualStore.from_dict(json.loads(json.dumps(built.to_dict())))
+    for o in objects + ["dog"]:
+        for a in attributes + ["blue"]:
+            for min_count in (1, 2, 3):
+                for use_sor in (False, True):
+                    assert reloaded.has_property(term(o), term(a), min_count, use_sor) == \
+                        built.has_property(term(o), term(a), min_count, use_sor)
