@@ -229,13 +229,14 @@ def _check_manifest(cfg, out):
 
 
 @contextmanager
-def _malformed(path):
-    """A failure to read or decode `path` inside the block is a data error naming it."""
+def _malformed(path, command="build"):
+    """A failure to read or decode `path` inside the block is a data error naming
+    it, and the `command` that writes it anew."""
     try:
         yield
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise DataFormatError(f"cannot load ({type(e).__name__}: {e}); "
-                              "run `discrimattr build`", path=str(path))
+                              f"run `discrimattr {command}`", path=str(path))
 
 
 def _load_stores(cfg) -> StoreSet:
@@ -252,7 +253,10 @@ def _load_stores(cfg) -> StoreSet:
 
 
 def _term(surface, lemma_table):
-    return Term(surface, lemma_of(surface, lemma_table))
+    try:
+        return Term(surface, lemma_of(surface, lemma_table))
+    except ValueError as e:
+        raise ConfigError(f"invalid term: {e}")
 
 
 def _read_triples_file(path, lemma_table):
@@ -265,13 +269,7 @@ def _read_triples_file(path, lemma_table):
                 continue
             if len(row) < 3:
                 raise DataFormatError("expected at least 3 columns", path=path, line=lineno)
-            triples.append(
-                Triple(
-                    _term(row[0].strip(), lemma_table),
-                    _term(row[1].strip(), lemma_table),
-                    _term(row[2].strip(), lemma_table),
-                )
-            )
+            triples.append(Triple(*evaluation.row_terms(row, lemma_table, path, lineno)))
     return triples
 
 
@@ -379,13 +377,14 @@ def cmd_report(cfg) -> int:
     path = Path(cfg.output_dir) / "report.json"
     if not path.exists():
         raise DataFormatError("no report.json; run `discrimattr evaluate` first", path=str(path))
-    data = load_json(path)
-    report = evaluation.EvalReport(
-        macro_f1=data["macro_f1"], metrics=data["metrics"], errors=data["errors"],
-        category_recall=data["category_recall"], overlap=data["overlap"],
-        notes=data["notes"],
-    )
-    print(evaluation.render_report(report), end="")
+    with _malformed(path, "evaluate"):
+        data = load_json(path)
+        rendered = evaluation.render_report(evaluation.EvalReport(
+            macro_f1=data["macro_f1"], metrics=data["metrics"], errors=data["errors"],
+            category_recall=data["category_recall"], overlap=data["overlap"],
+            notes=data["notes"],
+        ))
+    print(rendered, end="")
     return 0
 
 

@@ -30,13 +30,13 @@ class GoldDataset:
         return [t.key() for t in self.triples]
 
 
-def _triple_from_row(row, lemma_table):
-    pivot, comparison, attribute = (s.strip() for s in row[:3])
-    return (
-        Term(pivot, lemma_of(pivot, lemma_table)),
-        Term(comparison, lemma_of(comparison, lemma_table)),
-        Term(attribute, lemma_of(attribute, lemma_table)),
-    )
+def row_terms(row, lemma_table, path, lineno):
+    """The pivot, comparison and attribute `Term`s of a CSV row."""
+    surfaces = [s.strip() for s in row[:3]]
+    try:
+        return tuple(Term(s, lemma_of(s, lemma_table)) for s in surfaces)
+    except ValueError as e:
+        raise DataFormatError(f"invalid term: {e}", path=path, line=lineno)
 
 
 def load_gold(path, lemma_table) -> GoldDataset:
@@ -56,7 +56,7 @@ def load_gold(path, lemma_table) -> GoldDataset:
                 raise DataFormatError("expected 4 columns", path=path, line=lineno)
             if row[3].strip() not in ("0", "1"):
                 raise DataFormatError(f"label must be 0 or 1, got {row[3]!r}", path=path, line=lineno)
-            pivot, comparison, attribute = _triple_from_row(row, lemma_table)
+            pivot, comparison, attribute = row_terms(row, lemma_table, path, lineno)
             label = row[3].strip() == "1"
             key = (pivot.lemma, comparison.lemma, attribute.lemma)
             if key in seen:
@@ -89,7 +89,7 @@ def load_annotations(path, lemma_table) -> dict:
             unknown = cats - CATEGORIES
             if unknown:
                 raise DataFormatError(f"unknown categories {sorted(unknown)}", path=path, line=lineno)
-            pivot, comparison, attribute = _triple_from_row(row, lemma_table)
+            pivot, comparison, attribute = row_terms(row, lemma_table, path, lineno)
             annotations[(pivot.lemma, comparison.lemma, attribute.lemma)] = cats
     return annotations
 

@@ -12,6 +12,7 @@ arrays, or a JSON-lines fixture format
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .errors import DataFormatError
@@ -130,38 +131,120 @@ class _Builder:
         self.oa = {}  # (object_lemma, attr_lemma) -> [(image, region)], deduped in finish()
         self.relationships = []  # (image, subject, predicate, object), sorted in finish()
         self.skipped = 0
-        self._lemmas = {}  # lowercased attribute phrase -> its lemmas
+        self._lemmas = {}  # attribute phrase -> its lemmas
+        self._names = {}  # object, subject or predicate name -> its lemma, None if it has none
+
+    def _lemma(self, name):
+        if name not in self._names:
+            try:
+                self._names[name] = lemma_of(name, self.lemma_table)
+            except ValueError:
+                self._names[name] = None
+        return self._names[name]
 
     def add_region(self, image_id, region_id, object_name, attributes):
-        try:
-            obj = lemma_of(object_name, self.lemma_table)
-        except ValueError:
+        obj = self._lemma(object_name)
+        if obj is None:
             self.skipped += 1
             return
         key_pair = (str(image_id), str(region_id))
         for attr in attributes:
             # attribute phrases split into tokens, each indexed separately
-            phrase = attr.lower()  # a copy: keeping `attr` pins the decoded file's memory
-            if phrase not in self._lemmas:
-                self._lemmas[phrase] = [t.lemma for t in normalize(phrase, self.lemma_table, self.stopwords)]
-            for lemma in self._lemmas[phrase]:
+            if attr not in self._lemmas:
+                self._lemmas[attr] = [t.lemma for t in normalize(attr, self.lemma_table, self.stopwords)]
+            for lemma in self._lemmas[attr]:
                 self.oa.setdefault((obj, lemma), []).append(key_pair)
 
     def add_relationship(self, image_id, subject, predicate, object_name):
-        try:
-            rel = (str(image_id), lemma_of(subject, self.lemma_table),
-                   lemma_of(predicate, self.lemma_table), lemma_of(object_name, self.lemma_table))
-        except ValueError:
+        rel = (str(image_id), self._lemma(subject), self._lemma(predicate), self._lemma(object_name))
+        if None in rel:
             self.skipped += 1
             return
         self.relationships.append(rel)
 
     def finish(self):
-        oa = {k: sorted(set(v)) for k, v in self.oa.items()}
-        return VisualStore(oa, sorted(self.relationships), skipped=self.skipped)
+        for key, regions in self.oa.items():
+            self.oa[key] = sorted(set(regions))
+        self.relationships.sort()
+        return VisualStore(self.oa, self.relationships, skipped=self.skipped)
+
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _ArrayError(json.JSONDecodeError):
+    """Malformed JSON, located by its character offset in the whole file:
+    the reader holds only part of it."""
+
+    def __init__(self, msg, pos):
+        ValueError.__init__(self, f"{msg} (char {pos})")
+        self.msg, self.pos = msg, pos
+
+
+class _ArrayReader:
+    """The items of the JSON array in text file `fh`, decoded one at a time
+    from reads of `chunk_size` characters. Rejects what `json.load` rejects."""
+
+    def __init__(self, fh, chunk_size=1 << 16):
+        self.fh, self.chunk_size = fh, chunk_size
+        self.buf, self.pos, self.start, self.eof = "", 0, 0, False
+        self.decode = json.JSONDecoder().raw_decode
+
+    def __iter__(self):
+        if self._peek() != "[":
+            raise _ArrayError("Expecting value", self.start + self.pos)
+        self.pos += 1
+        if self._peek() == "]":
+            self.pos += 1
+        else:
+            while True:
+                yield self._item()
+                separator = self._peek()  # "," or "]": `_item` saw it
+                self.pos += 1
+                if separator == "]":
+                    break
+        if self._peek():
+            raise _ArrayError("Extra data", self.start + self.pos)
+
+    def _item(self):
+        # taken only once the "," or "]" after it is in the buffer, so a number
+        # or literal cut at the buffer's end is never decoded early; the read
+        # size doubles while the item is incomplete, keeping re-decoding linear
+        size = self.chunk_size
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            try:
+                item, end = self.decode(self.buf, self.pos)
+            except json.JSONDecodeError as e:
+                if self.eof:
+                    raise _ArrayError(e.msg, self.start + e.pos)
+            else:
+                after = _WHITESPACE.match(self.buf, end).end()
+                if self.buf[after:after + 1] in (",", "]"):
+                    self.pos = end
+                    return item
+                if self.eof:
+                    raise _ArrayError("Expecting ',' delimiter", self.start + after)
+            self._read(size)
+            size *= 2
+
+    def _peek(self):
+        """The next non-whitespace character; "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or self.eof:
+                return self.buf[self.pos:self.pos + 1]
+            self._read(self.chunk_size)
+
+    def _read(self, size):
+        data = self.fh.read(size)
+        self.eof = not data
+        self.buf, self.start, self.pos = self.buf[self.pos:] + data, self.start + self.pos, 0
 
 
 def _vg_name(node):
+    if type(node) is not dict:
+        return ""
     if "names" in node:
         return node["names"][0] if node["names"] else ""
     return node.get("name", "")
@@ -172,13 +255,16 @@ def _load_one(path, builder):
         head = fh.read(1)
         fh.seek(0)
         if head == "[":
-            _load_visual_genome(json.load(fh), builder)
+            _load_visual_genome(_ArrayReader(fh), builder)
         else:
             _load_jsonl(fh, path, builder)
 
 
 def _load_visual_genome(images, builder):
     for image in images:
+        if type(image) is not dict:
+            builder.skipped += 1
+            continue
         image_id = image.get("image_id", image.get("id"))
         for obj in image.get("objects", []):
             name = _vg_name(obj)
@@ -190,6 +276,7 @@ def _load_visual_genome(images, builder):
                 obj.get("attributes", []),
             )
         for rel in image.get("relationships", []):
+            rel = rel if type(rel) is dict else {}  # skipped below for want of names
             subj = _vg_name(rel.get("subject", {}))
             obj = _vg_name(rel.get("object", {}))
             pred = rel.get("predicate", "")
@@ -207,9 +294,10 @@ def _load_jsonl(fh, path, builder):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
+            obj = None
+        if type(obj) is not dict:
             builder.skipped += 1
-            continue
-        if "region" in obj and "object" in obj:
+        elif "region" in obj and "object" in obj:
             builder.add_region(obj["image"], obj["region"], obj["object"],
                                obj.get("attributes", []))
         elif "subject" in obj and "predicate" in obj:

@@ -292,6 +292,63 @@ def test_report_rerenders(built, capsys):
     assert capsys.readouterr().out == rendered
 
 
+@pytest.mark.parametrize("corrupt", [lambda text: text[:len(text) // 2],
+                                     lambda text: text + "[]", lambda text: "[]"],
+                         ids=["truncated", "trailing-data", "not-an-object"])
+def test_report_on_malformed_report_json_exits_2(built, capsys, corrupt):
+    cfg, out = built
+    main(["evaluate", "--config", str(cfg)])
+    path = out / "report.json"
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "discrimattr evaluate" in err
+
+
+@pytest.mark.parametrize("corrupt", [lambda text: text[:len(text) - 40],
+                                     lambda text: text + "\n[]\n"],
+                         ids=["truncated", "trailing-data"])
+def test_malformed_visual_genome_array_exits_2(tmp_path, capsys, corrupt):
+    path = tmp_path / "objects.json"
+    path.write_text(corrupt((DATA / "vg_objects.json").read_text(encoding="utf-8")),
+                    encoding="utf-8")
+    cfg = write_config(tmp_path, scene_graphs=[str(path)])
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 2
+    assert f"{path}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gold", "annotations"])
+def test_non_alphanumeric_gold_or_annotation_term_exits_2(built, tmp_path, capsys, key):
+    cfg, _ = built
+    path = tmp_path / f"{key}.csv"
+    rows = (DATA / f"{key}.csv").read_text(encoding="utf-8").splitlines()
+    rows[1] = "---,cat,red," + rows[1].split(",")[3]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path, name="bad.json", **{key: str(path)})
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert f"{path}:2: invalid term" in capsys.readouterr().err
+
+
+def test_non_alphanumeric_triples_file_term_exits_2(built, tmp_path, capsys):
+    cfg, _ = built
+    path = tmp_path / "triples.csv"
+    path.write_text("apple,banana,red\ncat,!!,red\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "--triples-file", str(path)]) == 2
+    assert f"{path}:2: invalid term" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "explain"])
+def test_non_alphanumeric_cli_term_exits_1(built, capsys, command):
+    cfg, _ = built
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--", "---", "cat", "red"]) == 1
+    assert "error: invalid term: no alphanumeric content in '---'" in capsys.readouterr().err
+
+
 def test_stage_order_flag_changes_decider_not_verdict(built, capsys):
     cfg, _ = built
     main(["classify", "--config", str(cfg), "--stage-order", "VFM,CKG,DBM",

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError
-from discrimattr.visual import VisualStore, _Builder, load_scene_graphs
+from discrimattr.visual import (VisualStore, _ArrayReader, _Builder, _load_visual_genome,
+                                load_scene_graphs)
 
 from conftest import term
 
@@ -124,6 +126,32 @@ def test_malformed_records_skipped(tmp_path, lemma_table, stopwords):
     assert store.skipped == 2
 
 
+@pytest.mark.parametrize("record", ["1", "null", "true", '"region object"', '["region", "object"]'])
+def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, record):
+    p = tmp_path / "scenes.jsonl"
+    p.write_text('{"image": 1, "region": 1, "object": "cat", "attributes": ["black"]}\n'
+                 + record + "\n", encoding="utf-8")
+    store = load_scene_graphs([p], lemma_table, stopwords)
+    assert store.count("cat", "black") == 1
+    assert store.skipped == 1
+
+
+@pytest.mark.parametrize("images,skipped", [
+    ([{"image_id": 1, "objects": [3]}], 1),
+    ([7, None, "image"], 3),
+    ([{"image_id": 1, "relationships": [2, [], {"predicate": "on", "subject": 5,
+                                                "object": {"name": "cat"}}]}], 3),
+])
+def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopwords,
+                                                 images, skipped):
+    cat = {"image_id": 2, "objects": [{"object_id": 1, "names": ["cat"], "attributes": ["black"]}]}
+    p = tmp_path / "objects.json"
+    p.write_text(json.dumps([cat] + images), encoding="utf-8")
+    store = load_scene_graphs([p], lemma_table, stopwords)
+    assert store.count("cat", "black") == 1
+    assert store.skipped == skipped
+
+
 def test_unreadable_file_errors(tmp_path, lemma_table, stopwords):
     with pytest.raises(DataFormatError):
         load_scene_graphs([tmp_path / "missing.jsonl"], lemma_table, stopwords)
@@ -177,3 +205,65 @@ def test_reloaded_store_answers_like_built(regions, relationships):
                 for use_sor in (False, True):
                     assert reloaded.has_property(term(o), term(a), min_count, use_sor) == \
                         built.has_property(term(o), term(a), min_count, use_sor)
+
+
+def _streamed(text, chunk_size):
+    return list(_ArrayReader(io.StringIO(text), chunk_size))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\/\n'), max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+json_arrays = st.lists(json_values, max_size=5)
+layouts = st.sampled_from([{"separators": (",", ":")}, {"indent": 2}, {"ensure_ascii": False}])
+
+
+@given(json_arrays, layouts, st.integers(1, 64))
+def test_streamed_items_equal_json_loads(items, layout, chunk_size):
+    # `ensure_ascii` (the default) writes \uXXXX escapes, surrogate pairs for
+    # astral characters; an integer or float last in an item ends at `,` or `]`
+    text = json.dumps(items, **layout)
+    assert _streamed(text, chunk_size) == json.loads(text)
+
+
+def _rejected(text, chunk_size):
+    with pytest.raises(ValueError):
+        json.loads(text)
+    with pytest.raises(ValueError):
+        _streamed(text, chunk_size)
+
+
+@given(json_arrays, layouts, st.integers(1, 64))
+def test_malformed_arrays_rejected_like_json_loads(items, layout, chunk_size):
+    text = json.dumps(items, **layout)
+    for end in range(len(text)):
+        _rejected(text[:end], chunk_size)
+    _rejected(text + " 0", chunk_size)
+    _rejected(text + "]", chunk_size)
+    parts = [json.dumps(item, **layout) for item in items]
+    if parts:
+        _rejected("[" + ", ".join(parts) + ",]", chunk_size)
+    if len(parts) > 1:
+        _rejected("[" + " ".join(parts) + "]", chunk_size)
+
+
+@pytest.mark.parametrize("text", ["[1 2]", "[1,,2]", "[,1]", "[1e]", "[1.]", "[-]", "[tru]",
+                                  '["a\\"]', "[1]]", '[{"a" 1}]', "", " "])
+@pytest.mark.parametrize("chunk_size", [1, 3, 64])
+def test_malformed_array_examples_rejected(text, chunk_size):
+    _rejected(text, chunk_size)
+
+
+def test_streamed_visual_genome_builds_the_same_store(data_dir, lemma_table, stopwords):
+    stores = []
+    for read in (json.load, lambda fh: _ArrayReader(fh, 7)):
+        builder = _Builder(lemma_table, stopwords)
+        for name in ("vg_objects.json", "vg_relationships.json"):
+            with open(data_dir / name, encoding="utf-8") as fh:
+                _load_visual_genome(read(fh), builder)
+        stores.append(builder.finish().to_dict())
+    assert stores[0] == stores[1]
