@@ -105,17 +105,16 @@ def _dbm_slots(evidence):
 
 
 def _ckg_slots(evidence):
-    a = min(evidence, key=lambda e: (e.assertion.relation, e.assertion.start,
-                                     e.assertion.end)).assertion
-    return {"start": a.start, "relation": a.relation, "end": a.end}
+    e = min(evidence, key=lambda e: (e.relation, e.start, e.end))
+    return {"start": e.start, "relation": e.relation, "end": e.end}
 
 
 def _vfm_slots(evidence):
     ev = evidence[0]
     via = ""
     if ev.via is not None:
-        via = (f" (inherited from '{ev.object}' via "
-               f"{ev.via.subject} -{ev.via.predicate}-> {ev.via.object})")
+        _, subject, predicate, object_ = ev.via
+        via = f" (inherited from '{ev.object}' via {subject} -{predicate}-> {object_})"
     return {"evidence_object": ev.object, "n": len(ev.regions), "via": via,
             "regions": ", ".join(f"img {img}/r{reg}" for img, reg in ev.regions)}
 

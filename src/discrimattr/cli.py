@@ -23,7 +23,7 @@ from .cascade import STAGES, CascadeConfig, StoreSet, classify_batch, render_exp
 from .commonsense import CkgStore
 from .definitions import DEFAULT_MAX_DEPTH
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
-from .index import FORMAT_VERSION, dump_json, load_json
+from .index import FORMAT_VERSION, atomic_open, dump_json, load_json
 from .text import lemma_of
 from .types import COMPONENTS, Term, Triple
 from .visual import VisualStore
@@ -194,7 +194,7 @@ def cmd_build(cfg) -> int:
     manifest = _manifest(cfg)
     manifest["document_counts"] = {
         "definitions": dstore.space.document_count,
-        "commonsense": len(cstore.assertions),
+        "commonsense": sum(map(len, cstore.edges.values())),
         "visual": len(vstore.oa_index),
     }
     skipped = cstore.skipped + vstore.skipped
@@ -274,11 +274,11 @@ def _read_triples_file(path, lemma_table):
 
 
 def _write_verdicts(results, out):
-    with open(out / "verdicts.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(out / "verdicts.jsonl") as fh:
         for triple, verdict in results:
             fh.write(json.dumps(verdict.to_dict(triple), sort_keys=True, ensure_ascii=False))
             fh.write("\n")
-    with open(out / "semeval.csv", "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out / "semeval.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for triple, verdict in results:
             writer.writerow([triple.pivot.surface, triple.comparison.surface,
@@ -367,7 +367,7 @@ def cmd_evaluate(cfg) -> int:
     _write_verdicts(results, out)
     dump_json(report.to_dict(), out / "report.json")
     rendered = evaluation.render_report(report)
-    with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(out / "report.txt") as fh:
         fh.write(rendered)
     print(rendered, end="")
     return 0

@@ -11,96 +11,71 @@ import json
 from dataclasses import dataclass
 
 from .errors import DataFormatError
+from .index import layout
 from .text import lemma_of
 from .types import MembershipResult, Term
 
 
-@dataclass(frozen=True)
-class Assertion:
-    relation: str
-    start: str  # concept lemma
-    end: str
-    weight: float = 1.0
-
-    def to_dict(self):
-        return {"relation": self.relation, "start": self.start, "end": self.end,
-                "weight": self.weight}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["relation"], d["start"], d["end"], d["weight"])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EdgeEvidence:
-    assertion: Assertion
-    direction: str  # "forward": term is start; "reverse": term is end
+    """An assertion linking the queried lemmas; "forward" when the term is
+    its start, "reverse" when the term is its end. Evidence sorts in
+    assertion order."""
+
+    relation: str
+    start: str
+    end: str
+    weight: float
+    direction: str
 
     def to_dict(self):
-        return {"assertion": self.assertion.to_dict(), "direction": self.direction}
+        return {"assertion": {"relation": self.relation, "start": self.start, "end": self.end,
+                              "weight": self.weight},
+                "direction": self.direction}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(assertion=Assertion.from_dict(d["assertion"]), direction=d["direction"])
-
-
-def _concept_matches(query_lemma: str, concept: str, token_match: bool) -> bool:
-    if query_lemma == concept:
-        return True
-    return token_match and query_lemma in concept.split("_")
+        a = d["assertion"]
+        return cls(a["relation"], a["start"], a["end"], a["weight"], d["direction"])
 
 
 class CkgStore:
-    """Immutable after load; concurrent readers are safe."""
+    """Immutable after load; concurrent readers are safe. Built, persisted
+    and queried in one form: `edges` maps "start<TAB>end" to the sorted
+    [relation, weight] pairs of the assertions from start to end, each
+    assertion once, none with a `Not*` relation."""
 
-    def __init__(self, assertions, skipped=0):
-        """`assertions` as `build` leaves them: no `Not*`, sorted, unique."""
-        self.assertions = assertions
-        # (lemma, lemma) -> sorted indices of the assertions linking the two,
-        # keyed in both orders; a self-loop is listed once
-        self.by_pair = {}
-        for i, a in enumerate(assertions):
-            self.by_pair.setdefault((a.start, a.end), []).append(i)
-            if a.end != a.start:
-                self.by_pair.setdefault((a.end, a.start), []).append(i)
+    def __init__(self, edges, skipped=0):
+        self.edges = edges
         self.skipped = skipped
 
     @classmethod
     def build(cls, assertions, skipped=0):
-        assertions = [a for a in assertions if not a.relation.startswith("Not")]
-        assertions = sorted(set(assertions), key=lambda a: (a.relation, a.start, a.end, a.weight))
-        return cls(assertions, skipped)
+        """From (relation, start, end, weight) tuples: `Not*` relations are
+        dropped, repeats collapse."""
+        edges = {}
+        for relation, start, end, weight in sorted(set(assertions)):
+            if not relation.startswith("Not"):
+                edges.setdefault(f"{start}\t{end}", []).append([relation, weight])
+        return cls(edges, skipped)
 
-    def has_property(self, term: Term, attribute: Term, token_match: bool = False) -> MembershipResult:
+    def has_property(self, term: Term, attribute: Term) -> MembershipResult:
         """True iff any assertion connects the two lemmas, either direction.
-        Exact matching reads the pair map; token matching scans."""
-        if token_match:
-            candidates = range(len(self.assertions))
-        else:
-            candidates = self.by_pair.get((term.lemma, attribute.lemma), ())
-        evidence = []
-        for i in candidates:
-            a = self.assertions[i]
-            if _concept_matches(term.lemma, a.start, token_match) and _concept_matches(
-                attribute.lemma, a.end, token_match
-            ):
-                evidence.append(EdgeEvidence(assertion=a, direction="forward"))
-            elif _concept_matches(term.lemma, a.end, token_match) and _concept_matches(
-                attribute.lemma, a.start, token_match
-            ):
-                evidence.append(EdgeEvidence(assertion=a, direction="reverse"))
+        A self-loop is listed once, as forward."""
+        t, a = term.lemma, attribute.lemma
+        evidence = [EdgeEvidence(rel, t, a, w, "forward") for rel, w in self.edges.get(f"{t}\t{a}", ())]
+        if a != t:
+            evidence += [EdgeEvidence(rel, a, t, w, "reverse")
+                         for rel, w in self.edges.get(f"{a}\t{t}", ())]
+            evidence.sort()
         return MembershipResult(member=bool(evidence), evidence=tuple(evidence))
 
     def to_dict(self):
-        return {
-            "assertions": [a.to_dict() for a in self.assertions],
-            "skipped": self.skipped,
-        }
+        return {"edges": self.edges, "skipped": self.skipped}
 
     @classmethod
     def from_dict(cls, data):
-        assertions = [Assertion.from_dict(a) for a in data["assertions"]]
-        return cls(assertions, data.get("skipped", 0))
+        return cls(*layout(data, edges=dict, skipped=int))
 
 
 def _concept_from_uri(uri, language_filter):
@@ -113,14 +88,13 @@ def _concept_from_uri(uri, language_filter):
     return parts[3]
 
 
-def load_assertions(path, lemma_table, language_filter="en",
-                    relation_allowlist=None) -> CkgStore:
+def load_assertions(path, lemma_table, language_filter="en") -> CkgStore:
     """Stream an assertion dump into a CkgStore.
 
     Not-prefixed relations and non-matching languages are excluded;
     malformed lines increment the skip counter instead of failing the load.
     """
-    assertions = []
+    assertions = set()
     skipped = 0
     try:
         fh = open(path, encoding="utf-8")
@@ -141,17 +115,9 @@ def load_assertions(path, lemma_table, language_filter="en",
             relation, start, end, weight = parsed
             if relation.startswith("Not"):
                 continue
-            if relation_allowlist is not None and relation not in relation_allowlist:
-                continue
             try:
-                assertions.append(
-                    Assertion(
-                        relation=relation,
-                        start=lemma_of(start.replace("_", " "), lemma_table).replace(" ", "_"),
-                        end=lemma_of(end.replace("_", " "), lemma_table).replace(" ", "_"),
-                        weight=weight,
-                    )
-                )
+                assertions.add((relation, lemma_of(start.replace("_", " "), lemma_table),
+                                lemma_of(end.replace("_", " "), lemma_table), weight))
             except ValueError:
                 skipped += 1
     return CkgStore.build(assertions, skipped=skipped)

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DataFormatError
-from .index import ExplicitVectorSpace
+from .index import ExplicitVectorSpace, layout
 from .text import lemma_of, normalize
 from .types import MembershipResult, Term
 
@@ -27,20 +27,6 @@ SEMANTIC_ROLES = (
 )
 
 DEFAULT_MAX_DEPTH = 3
-
-
-@dataclass(frozen=True)
-class Segment:
-    role: str
-    text: str
-    field: str  # the segment's field in the inverted index: sense/role[#n]
-
-
-@dataclass(frozen=True)
-class DefinitionRecord:
-    term: Term
-    sense_id: str
-    segments: tuple[Segment, ...]
 
 
 @dataclass(frozen=True)
@@ -70,32 +56,35 @@ class DefinitionEvidence:
 
 
 class DefinitionStore:
-    """Immutable after load; concurrent readers are safe."""
+    """Immutable after load; concurrent readers are safe. Built, persisted
+    and queried in one form:
+
+    - `records`: lemma -> [{"term", "sense", "segments": [[role, text], ...]}];
+    - `supertype_edges`: lemma -> sorted [lemma, ...];
+    - `space`: the inverted index over the segments."""
 
     def __init__(self, records, supertype_edges, space):
-        self.records = records  # lemma -> [DefinitionRecord]
-        self.supertype_edges = supertype_edges  # lemma -> sorted tuple of lemmas
+        self.records = records
+        self.supertype_edges = supertype_edges
         self.space = space
 
     def expand(self, term: Term, max_depth: int = DEFAULT_MAX_DEPTH):
         """Breadth-first supertype expansion.
 
-        Yields (record, path) pairs: the term's own records first, then
-        ancestors by (depth, lemma) order. Cycles are visited once. `path`
-        runs from the queried lemma to the record's lemma.
+        Returns (lemma, path) pairs for the lemmas that have records: the
+        term's own first, then ancestors by (depth, lemma) order. Cycles are
+        visited once. `path` runs from the queried lemma to `lemma`.
         """
         out = []
         visited = {term.lemma}
         frontier = [(term.lemma, (term.lemma,))]
         depth = 0
         while frontier:
-            for lemma, path in frontier:
-                for rec in self.records.get(lemma, []):
-                    out.append((rec, path))
+            out += [(lemma, path) for lemma, path in frontier if lemma in self.records]
             if depth == max_depth:
                 break
             next_frontier = []
-            for lemma, path in sorted(frontier):
+            for lemma, path in frontier:
                 for parent in self.supertype_edges.get(lemma, ()):
                     if parent not in visited:
                         visited.add(parent)
@@ -109,40 +98,22 @@ class DefinitionStore:
         definitions or of its supertype ancestors within max_depth.
 
         The attribute's postings are intersected with the supertype
-        expansion; evidence follows expansion order, then segment order."""
+        expansion; evidence follows expansion order, then segment order.
+        Only the records that the postings name get their segment fields derived."""
         fields = self.space.documents_containing(attribute.lemma)
         evidence = []
-        for rec, path in self.expand(term, max_depth) if fields else ():
-            found = fields.get(rec.term.lemma, ())
-            for seg in rec.segments:
-                if seg.field in found:
-                    evidence.append(
-                        DefinitionEvidence(
-                            term=rec.term.lemma,
-                            sense_id=rec.sense_id,
-                            role=seg.role,
-                            text=seg.text,
-                            path=path,
-                        )
-                    )
+        for lemma, path in self.expand(term, max_depth) if fields else ():
+            found = fields.get(lemma)
+            for rec in self.records[lemma] if found else ():
+                role_counts = {}
+                for role, text in rec["segments"]:
+                    if _field(rec["sense"], role, role_counts) in found:
+                        evidence.append(DefinitionEvidence(lemma, rec["sense"], role, text, path))
         return MembershipResult(member=bool(evidence), evidence=tuple(evidence))
 
     def to_dict(self):
-        return {
-            "records": {
-                lemma: [
-                    {
-                        "term": rec.term.surface,
-                        "sense": rec.sense_id,
-                        "segments": [{"role": s.role, "text": s.text} for s in rec.segments],
-                    }
-                    for rec in recs
-                ]
-                for lemma, recs in sorted(self.records.items())
-            },
-            "supertype_edges": {k: list(v) for k, v in sorted(self.supertype_edges.items())},
-            "space": self.space.to_dict(),
-        }
+        return {"records": self.records, "supertype_edges": self.supertype_edges,
+                "space": self.space.to_dict()}
 
 
 def _field(sense_id, role, role_counts):
@@ -158,29 +129,32 @@ def _build_store(raw_records, lemma_table, stopwords):
     edges = {}
     documents = []
     seen_senses = set()
-    for term_surface, sense_id, segments, where in raw_records:
-        term = Term(surface=term_surface, lemma=lemma_of(term_surface, lemma_table))
-        key = (term.lemma, sense_id)
+    for term, sense_id, segments, where in raw_records:
+        try:
+            lemma = lemma_of(term, lemma_table)
+        except ValueError as e:
+            raise DataFormatError(f"invalid term: {e}", path=where[0], line=where[1])
+        key = (lemma, sense_id)
         if key in seen_senses:
             raise DataFormatError(f"duplicate (term, sense) {key}", path=where[0], line=where[1])
         seen_senses.add(key)
-        segs = []
         role_counts = {}
         for role, text in segments:
             if role not in SEMANTIC_ROLES:
                 raise DataFormatError(f"unknown semantic role {role!r}", path=where[0], line=where[1])
             tokens = normalize(text, lemma_table, stopwords)
-            fld = _field(sense_id, role, role_counts)
-            segs.append(Segment(role=role, text=text, field=fld))
-            documents.append((term.lemma, fld, [t.lemma for t in tokens]))
+            documents.append((lemma, _field(sense_id, role, role_counts), [t.lemma for t in tokens]))
             if role == "supertype" and tokens:
                 # NP-head heuristic: the last non-stopword token is the genus.
-                edges.setdefault(term.lemma, set()).add(tokens[-1].lemma)
-        rec = DefinitionRecord(term=term, sense_id=sense_id, segments=tuple(segs))
-        records.setdefault(term.lemma, []).append(rec)
-    edges = {k: tuple(sorted(v)) for k, v in edges.items()}
-    space = ExplicitVectorSpace.build(documents)
-    return DefinitionStore(records=records, supertype_edges=edges, space=space)
+                edges.setdefault(lemma, set()).add(tokens[-1].lemma)
+        records.setdefault(lemma, []).append(
+            {"term": term, "sense": sense_id, "segments": [[role, text] for role, text in segments]})
+    edges = {k: sorted(v) for k, v in edges.items()}
+    return DefinitionStore(records, edges, ExplicitVectorSpace.build(documents))
+
+
+def _is_segment(seg):
+    return type(seg) is dict and type(seg.get("role")) is str and type(seg.get("text")) is str
 
 
 def load_definitions(path, lemma_table, stopwords) -> DefinitionStore:
@@ -195,33 +169,23 @@ def load_definitions(path, lemma_table, stopwords) -> DefinitionStore:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataFormatError(f"invalid JSON: {e}", path=path, line=lineno)
+            if type(obj) is not dict:
+                raise DataFormatError("a definition must be a JSON object", path=path, line=lineno)
             for field in ("term", "sense", "segments"):
                 if field not in obj:
                     raise DataFormatError(f"missing field {field!r}", path=path, line=lineno)
-            segments = []
-            for seg in obj["segments"]:
-                if "role" not in seg or "text" not in seg:
-                    raise DataFormatError("segment needs 'role' and 'text'", path=path, line=lineno)
-                segments.append((seg["role"], seg["text"]))
-            raw.append((obj["term"], str(obj["sense"]), segments, (str(path), lineno)))
+            if type(obj["term"]) is not str:
+                raise DataFormatError("'term' must be a string", path=path, line=lineno)
+            segments = obj["segments"]
+            if type(segments) is not list or not all(map(_is_segment, segments)):
+                raise DataFormatError("each segment needs string 'role' and 'text'",
+                                      path=path, line=lineno)
+            raw.append((obj["term"], str(obj["sense"]),
+                        [(seg["role"], seg["text"]) for seg in segments], (str(path), lineno)))
     return _build_store(raw, lemma_table, stopwords)
 
 
 def store_from_dict(data) -> DefinitionStore:
-    """Decode a persisted store: records, supertype edges and the inverted
-    index are read back as built, with no re-normalization."""
-    records = {}
-    for lemma, recs in data["records"].items():
-        out = records[lemma] = []
-        for rec in recs:
-            role_counts = {}
-            segs = tuple(
-                Segment(role=s["role"], text=s["text"],
-                        field=_field(rec["sense"], s["role"], role_counts))
-                for s in rec["segments"]
-            )
-            out.append(DefinitionRecord(term=Term(rec["term"], lemma),
-                                        sense_id=rec["sense"], segments=segs))
-    edges = {k: tuple(v) for k, v in data["supertype_edges"].items()}
-    return DefinitionStore(records=records, supertype_edges=edges,
-                           space=ExplicitVectorSpace.from_dict(data["space"]))
+    """The persisted store, as decoded: nothing is converted or re-normalized."""
+    records, edges, space = layout(data, records=dict, supertype_edges=dict, space=dict)
+    return DefinitionStore(records, edges, ExplicitVectorSpace.from_dict(space))

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 
 from .errors import DataFormatError, EmptyCorpusError
 
-FORMAT_VERSION = 2  # of the index files; `build` records it in the manifest
+FORMAT_VERSION = 3  # of the index files; `build` records it in the manifest
 
 
 class ExplicitVectorSpace:
@@ -66,7 +67,18 @@ class ExplicitVectorSpace:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(data["postings"], data["document_count"])
+        return cls(*layout(data, postings=dict, document_count=int))
+
+
+def layout(data, **types):
+    """The values of the decoded index `data` under the given keys, each of
+    its given type. Only the containers are checked, none of their items: an
+    index file of another layout fails at load rather than at a query."""
+    values = [data[key] for key in types]
+    for (key, kind), value in zip(types.items(), values):
+        if type(value) is not kind:
+            raise TypeError(f"{key!r} is a {type(value).__name__}, not a {kind.__name__}")
+    return values
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
@@ -99,18 +111,26 @@ def _write(obj, write):
         write(_ENCODER.encode(obj))
 
 
-def dump_json(obj: dict, path) -> None:
-    """Canonical, byte-stable JSON dump; a failed dump leaves `path` as it was."""
+@contextmanager
+def atomic_open(path):
+    """A UTF-8 text file with LF line ends, written beside `path` and renamed
+    over it when the block ends; a block that fails leaves `path` as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "w", encoding="utf-8", newline="\n")
     try:
         with fh:
-            _write(obj, fh.write)
-            fh.write("\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def dump_json(obj: dict, path) -> None:
+    """Canonical, byte-stable JSON dump; a failed dump leaves `path` as it was."""
+    with atomic_open(path) as fh:
+        _write(obj, fh.write)
+        fh.write("\n")
 
 
 def load_json(path) -> dict:

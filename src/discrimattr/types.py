@@ -31,13 +31,6 @@ class Triple:
     comparison: Term
     attribute: Term
     gold_label: bool | None = None
-    categories: frozenset[str] | None = None
-
-    def __post_init__(self):
-        if self.categories is not None:
-            unknown = self.categories - CATEGORIES
-            if unknown:
-                raise ValueError(f"unknown categories: {sorted(unknown)}")
 
     def key(self):
         return (self.pivot.lemma, self.comparison.lemma, self.attribute.lemma)

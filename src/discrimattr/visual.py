@@ -16,63 +16,49 @@ import re
 from dataclasses import dataclass
 
 from .errors import DataFormatError
+from .index import layout
 from .text import lemma_of, normalize
 from .types import MembershipResult, Term
 
-
-@dataclass(frozen=True)
-class RelationshipAnnotation:
-    image_id: str
-    subject: str
-    predicate: str
-    object: str
-
-    def to_dict(self):
-        return {
-            "image": self.image_id,
-            "subject": self.subject,
-            "predicate": self.predicate,
-            "object": self.object,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["image"], d["subject"], d["predicate"], d["object"])
+_VIA_KEYS = ("image", "subject", "predicate", "object")
 
 
 @dataclass(frozen=True)
 class RegionEvidence:
     """Grounding for a positive OA answer: the co-occurrence regions, plus
-    the mediating relationship when the attribute was inherited."""
+    the mediating relationship when the attribute was inherited. Both are
+    read from the store as they are held there."""
 
     object: str
     attribute: str
-    regions: tuple  # of (image_id, region_id)
-    via: RelationshipAnnotation | None = None
+    regions: list  # of [image_id, region_id]
+    via: list | None = None  # [image_id, subject, predicate, object]
 
     def to_dict(self):
-        d = {
-            "object": self.object,
-            "attribute": self.attribute,
-            "regions": [list(r) for r in self.regions],
-        }
+        d = {"object": self.object, "attribute": self.attribute, "regions": self.regions}
         if self.via is not None:
-            d["via"] = self.via.to_dict()
+            d["via"] = dict(zip(_VIA_KEYS, self.via))
         return d
 
     @classmethod
     def from_dict(cls, d):
-        via = RelationshipAnnotation.from_dict(d["via"]) if "via" in d else None
-        return cls(d["object"], d["attribute"], tuple(tuple(r) for r in d["regions"]), via)
+        via = [d["via"][k] for k in _VIA_KEYS] if "via" in d else None
+        return cls(d["object"], d["attribute"], d["regions"], via)
 
 
 class VisualStore:
-    """Immutable after load; concurrent readers are safe. Regions and
-    relationships are read as built (tuples) or as decoded (lists) alike."""
+    """Immutable after load; concurrent readers are safe. Built, persisted
+    and queried in one form:
+
+    - `oa_index`: "object<TAB>attribute" -> sorted, unique [image, region]s;
+    - `relationships`: sorted [image, subject, predicate, object]s,
+      duplicates kept.
+
+    Only `sor_index` is derived at load."""
 
     def __init__(self, oa_index, relationships, skipped=0):
-        self.oa_index = oa_index  # (object_lemma, attr_lemma) -> sorted [image, region]s
-        self.relationships = relationships  # sorted, duplicates kept
+        self.oa_index = oa_index
+        self.relationships = relationships
         # endpoint lemma -> its relationships, in list order; a self-relationship
         # is listed once
         self.sor_index = {}
@@ -83,58 +69,70 @@ class VisualStore:
         self.skipped = skipped
 
     def count(self, object_lemma: str, attribute_lemma: str) -> int:
-        return len(self.oa_index.get((object_lemma, attribute_lemma), ()))
+        return len(self.oa_index.get(f"{object_lemma}\t{attribute_lemma}", ()))
 
     def has_property(self, obj: Term, attribute: Term, min_count: int = 1,
                      use_sor: bool = False) -> MembershipResult:
         """True iff the pair co-occurs in >= min_count regions, or (with
         use_sor) a related object in the same image does."""
-        direct = self.oa_index.get((obj.lemma, attribute.lemma), ())
+        direct = self.oa_index.get(f"{obj.lemma}\t{attribute.lemma}", ())
         if len(direct) >= min_count:
-            ev = RegionEvidence(obj.lemma, attribute.lemma, tuple(map(tuple, direct)))
-            return MembershipResult(member=True, evidence=(ev,))
+            return MembershipResult(member=True, evidence=(
+                RegionEvidence(obj.lemma, attribute.lemma, direct),))
         if use_sor:
             for rel in self.sor_index.get(obj.lemma, ()):
                 image, subject, _, object_ = rel
                 for other in (subject, object_):
                     if other == obj.lemma:
                         continue
-                    regions = [
-                        r
-                        for r in self.oa_index.get((other, attribute.lemma), ())
-                        if r[0] == image
-                    ]
+                    regions = [r for r in self.oa_index.get(f"{other}\t{attribute.lemma}", ())
+                               if r[0] == image]
                     if len(regions) >= min_count:
-                        ev = RegionEvidence(other, attribute.lemma, tuple(map(tuple, regions)),
-                                            via=RelationshipAnnotation(*rel))
-                        return MembershipResult(member=True, evidence=(ev,))
+                        return MembershipResult(member=True, evidence=(
+                            RegionEvidence(other, attribute.lemma, regions, via=rel),))
         return MembershipResult(member=False)
 
     def to_dict(self):
-        return {
-            # `dump_json` sorts the keys and writes tuples as arrays
-            "oa_index": {f"{o}\t{a}": regions for (o, a), regions in self.oa_index.items()},
-            "relationships": self.relationships,
-            "skipped": self.skipped,
-        }
+        return {"oa_index": self.oa_index, "relationships": self.relationships,
+                "skipped": self.skipped}
 
     @classmethod
     def from_dict(cls, data):
-        oa = {tuple(key.split("\t")): regions for key, regions in data["oa_index"].items()}
-        return cls(oa, data["relationships"], data.get("skipped", 0))
+        return cls(*layout(data, oa_index=dict, relationships=list, skipped=int))
+
+
+def _is_id(value):
+    return type(value) is str or type(value) is int
+
+
+def _dedup(items):
+    """Sorts `items` and drops repeats, in place."""
+    items.sort()
+    n = 0
+    for item in items:
+        if not n or item != items[n - 1]:
+            items[n] = item
+            n += 1
+    del items[n:]
 
 
 class _Builder:
+    """Validates and indexes scene-graph records. A record with a missing or
+    non-str/int id, a name that is not a string or has no lemma, or
+    attributes that are not a list of strings is skipped and counted."""
+
     def __init__(self, lemma_table, stopwords):
         self.lemma_table = lemma_table
         self.stopwords = stopwords
-        self.oa = {}  # (object_lemma, attr_lemma) -> [(image, region)], deduped in finish()
-        self.relationships = []  # (image, subject, predicate, object), sorted in finish()
+        self.oa = {}  # "object<TAB>attribute" -> [[image, region]], deduped in finish()
+        self.relationships = []  # [image, subject, predicate, object], sorted in finish()
         self.skipped = 0
         self._lemmas = {}  # attribute phrase -> its lemmas
         self._names = {}  # object, subject or predicate name -> its lemma, None if it has none
 
     def _lemma(self, name):
+        if type(name) is not str:
+            return None
         if name not in self._names:
             try:
                 self._names[name] = lemma_of(name, self.lemma_table)
@@ -144,27 +142,28 @@ class _Builder:
 
     def add_region(self, image_id, region_id, object_name, attributes):
         obj = self._lemma(object_name)
-        if obj is None:
+        if obj is None or not _is_id(image_id) or not _is_id(region_id) \
+                or type(attributes) is not list or not all(type(a) is str for a in attributes):
             self.skipped += 1
             return
-        key_pair = (str(image_id), str(region_id))
+        region = [str(image_id), str(region_id)]  # one list, shared by the region's pairs
         for attr in attributes:
             # attribute phrases split into tokens, each indexed separately
             if attr not in self._lemmas:
                 self._lemmas[attr] = [t.lemma for t in normalize(attr, self.lemma_table, self.stopwords)]
             for lemma in self._lemmas[attr]:
-                self.oa.setdefault((obj, lemma), []).append(key_pair)
+                self.oa.setdefault(f"{obj}\t{lemma}", []).append(region)
 
     def add_relationship(self, image_id, subject, predicate, object_name):
-        rel = (str(image_id), self._lemma(subject), self._lemma(predicate), self._lemma(object_name))
-        if None in rel:
+        rel = [str(image_id), self._lemma(subject), self._lemma(predicate), self._lemma(object_name)]
+        if None in rel or not _is_id(image_id):
             self.skipped += 1
             return
         self.relationships.append(rel)
 
     def finish(self):
-        for key, regions in self.oa.items():
-            self.oa[key] = sorted(set(regions))
+        for regions in self.oa.values():
+            _dedup(regions)
         self.relationships.sort()
         return VisualStore(self.oa, self.relationships, skipped=self.skipped)
 
@@ -244,10 +243,11 @@ class _ArrayReader:
 
 def _vg_name(node):
     if type(node) is not dict:
-        return ""
+        return None
     if "names" in node:
-        return node["names"][0] if node["names"] else ""
-    return node.get("name", "")
+        names = node["names"]
+        return names[0] if type(names) is list and names else None
+    return node.get("name")
 
 
 def _load_one(path, builder):
@@ -260,30 +260,29 @@ def _load_one(path, builder):
             _load_jsonl(fh, path, builder)
 
 
+def _list(image, key, builder):
+    """The image's `key` list; a value that is not a list is skipped."""
+    items = image.get(key, [])
+    if type(items) is list:
+        return items
+    builder.skipped += 1
+    return []
+
+
 def _load_visual_genome(images, builder):
     for image in images:
         if type(image) is not dict:
             builder.skipped += 1
             continue
         image_id = image.get("image_id", image.get("id"))
-        for obj in image.get("objects", []):
-            name = _vg_name(obj)
-            if not name:
-                builder.skipped += 1
-                continue
-            builder.add_region(
-                image_id, obj.get("object_id", obj.get("id")), name,
-                obj.get("attributes", []),
-            )
-        for rel in image.get("relationships", []):
-            rel = rel if type(rel) is dict else {}  # skipped below for want of names
-            subj = _vg_name(rel.get("subject", {}))
-            obj = _vg_name(rel.get("object", {}))
-            pred = rel.get("predicate", "")
-            if not subj or not obj or not pred:
-                builder.skipped += 1
-                continue
-            builder.add_relationship(image_id, subj, pred, obj)
+        for obj in _list(image, "objects", builder):
+            obj = obj if type(obj) is dict else {}  # skipped for want of a name
+            builder.add_region(image_id, obj.get("object_id", obj.get("id")), _vg_name(obj),
+                               obj.get("attributes", []))
+        for rel in _list(image, "relationships", builder):
+            rel = rel if type(rel) is dict else {}  # skipped for want of names
+            builder.add_relationship(image_id, _vg_name(rel.get("subject")), rel.get("predicate"),
+                                     _vg_name(rel.get("object")))
 
 
 def _load_jsonl(fh, path, builder):
@@ -298,11 +297,11 @@ def _load_jsonl(fh, path, builder):
         if type(obj) is not dict:
             builder.skipped += 1
         elif "region" in obj and "object" in obj:
-            builder.add_region(obj["image"], obj["region"], obj["object"],
+            builder.add_region(obj.get("image"), obj["region"], obj["object"],
                                obj.get("attributes", []))
         elif "subject" in obj and "predicate" in obj:
-            builder.add_relationship(obj["image"], obj["subject"], obj["predicate"],
-                                     obj["object"])
+            builder.add_relationship(obj.get("image"), obj["subject"], obj["predicate"],
+                                     obj.get("object"))
         else:
             builder.skipped += 1
 

@@ -66,6 +66,17 @@ def reload_definitions(store):
     return store_from_dict(json.loads(json.dumps(store.to_dict())))
 
 
+def assertions_of(store):
+    """Every assertion of the CKG store, as (relation, start, end, weight), from a scan."""
+    return [(relation, *key.split("\t"), weight)
+            for key, pairs in store.edges.items() for relation, weight in pairs]
+
+
 def concepts_of(store):
     """Every concept an assertion of the CKG store names, from a scan."""
-    return sorted({c for a in store.assertions for c in (a.start, a.end)})
+    return sorted({c for _, start, end, _ in assertions_of(store) for c in (start, end)})
+
+
+def pairs_of(store):
+    """Every (object, attribute) pair of the VFM store's object-attribute index."""
+    return [tuple(key.split("\t")) for key in store.oa_index]

@@ -20,7 +20,7 @@ from discrimattr.index import ExplicitVectorSpace
 from discrimattr.text import lemma_of, normalize
 from discrimattr.types import COMPONENTS, Term
 
-from conftest import concepts_of, reload_definitions, term
+from conftest import assertions_of, concepts_of, pairs_of, reload_definitions, term
 from test_cascade import random_stores, triple
 from test_evaluation import keyed, make_gold
 
@@ -82,20 +82,21 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
     reloaded = reload_definitions(definition_store)
 
     def seg_lemmas(seg):
-        return [x.lemma for x in normalize(seg.text, lemma_table, stopwords)]
+        role, text = seg
+        return [x.lemma for x in normalize(text, lemma_table, stopwords)]
 
     vocab = {x for recs in reloaded.records.values()
-             for r in recs for s in r.segments for x in seg_lemmas(s)}
+             for r in recs for s in r["segments"] for x in seg_lemmas(s)}
     for lemma, recs in reloaded.records.items():
         for a in vocab:
-            brute = any(a in seg_lemmas(s) for r in recs for s in r.segments)
+            brute = any(a in seg_lemmas(s) for r in recs for s in r["segments"])
             res = reloaded.has_property(Term(lemma, lemma), Term(a, a), max_depth=0)
             assert res.member == brute
 
     # vfm membership vs brute-force scan of raw annotations
     raw = [json.loads(l) for l in (DATA / "scene_regions.jsonl").read_text().splitlines() if l]
-    for o in {x for x, _ in visual_store.oa_index}:
-        for a in {x for _, x in visual_store.oa_index}:
+    for o in {x for x, _ in pairs_of(visual_store)}:
+        for a in {x for _, x in pairs_of(visual_store)}:
             brute = {
                 (str(r["image"]), str(r["region"])) for r in raw
                 if lemma_of(r["object"], lemma_table) == o
@@ -109,16 +110,16 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
     concepts = concepts_of(ckg_store)
     for a in concepts:
         for b in concepts:
-            brute = any((x.start == a and x.end == b) or (x.start == b and x.end == a)
-                        for x in ckg_store.assertions)
+            brute = any((start == a and end == b) or (start == b and end == a)
+                        for _, start, end, _ in assertions_of(ckg_store))
             res = ckg_store.has_property(term(a, a), term(b, b))
             assert res.member == brute
             for e in res.evidence:
-                assert not e.assertion.relation.startswith("Not")
+                assert not e.relation.startswith("Not")
     assert not ckg_store.has_property(term("banana"), term("red")).member
 
     # vfm threshold and SOR monotonicity
-    for (o, a) in list(visual_store.oa_index) + [("lion", "whisker")]:
+    for (o, a) in pairs_of(visual_store) + [("lion", "whisker")]:
         prev = True
         for mc in range(1, 6):
             cur = visual_store.has_property(term(o, o), term(a, a), min_count=mc).member
@@ -132,8 +133,7 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
     raw_defs = [("a", "s", [("supertype", "b")], (None, None)),
                 ("b", "s", [("supertype", "a")], (None, None))]
     cyc = definitions._build_store(raw_defs, lemma_table, stopwords)
-    recs = [rec for rec, _ in cyc.expand(term("a"), max_depth=10)]
-    assert [r.term.lemma for r in recs] == ["a", "b"]
+    assert [lemma for lemma, _ in cyc.expand(term("a"), max_depth=10)] == ["a", "b"]
 
     elapsed = time.monotonic() - started
     assert elapsed < 10, f"property suite too slow: {elapsed:.1f}s"

@@ -145,7 +145,7 @@ def random_stores(rng, lemma_table, stopwords):
     dstore = definitions._build_store(raw_defs, lemma_table, stopwords)
 
     assertions = [
-        commonsense.Assertion("HasProperty", rng.choice(nouns), rng.choice(attrs))
+        ("HasProperty", rng.choice(nouns), rng.choice(attrs), 1.0)
         for _ in range(rng.randint(0, 12))
     ]
     cstore = commonsense.CkgStore.build(assertions)
@@ -206,8 +206,8 @@ def test_determinism(stores, lemma_table):
 
 def test_comparison_evidence_flips_true_to_false(lemma_table, stopwords):
     # adding comparison-side coverage can only lose positives, never gain them
-    a1 = [commonsense.Assertion("HasProperty", "ant", "red")]
-    a2 = a1 + [commonsense.Assertion("HasProperty", "bee", "red")]
+    a1 = [("HasProperty", "ant", "red", 1.0)]
+    a2 = a1 + [("HasProperty", "bee", "red", 1.0)]
     d = definitions._build_store([], lemma_table, stopwords)
     v = visual._Builder(lemma_table, stopwords).finish()
     t = triple("ant", "bee", "red")
@@ -222,18 +222,15 @@ def test_stages_follow_components():
 
 
 _text = st.text(max_size=8)
-_relationship = st.builds(visual.RelationshipAnnotation, _text, _text, _text, _text)
 EVIDENCE = {
     "DBM": st.builds(definitions.DefinitionEvidence, _text, _text,
                      st.sampled_from(definitions.SEMANTIC_ROLES), _text,
                      st.lists(_text, max_size=4).map(tuple)),
-    "CKG": st.builds(commonsense.EdgeEvidence,
-                     st.builds(commonsense.Assertion, _text, _text, _text,
-                               st.floats(allow_nan=False)),
+    "CKG": st.builds(commonsense.EdgeEvidence, _text, _text, _text, st.floats(allow_nan=False),
                      st.sampled_from(["forward", "reverse"])),
     "VFM": st.builds(visual.RegionEvidence, _text, _text,
-                     st.lists(st.tuples(_text, _text), max_size=4).map(tuple),
-                     st.none() | _relationship),
+                     st.lists(st.lists(_text, min_size=2, max_size=2), max_size=4),
+                     st.none() | st.lists(_text, min_size=4, max_size=4)),
 }
 
 

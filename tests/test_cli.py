@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discrimattr.cli import _read_triples_file, load_config, main
+from discrimattr.cli import _read_triples_file, _write_verdicts, load_config, main
 from discrimattr.errors import ConfigError
 from discrimattr.text import load_lemma_table
 
@@ -161,8 +161,25 @@ def _truncated_visual_index(out):
     return path
 
 
-@pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index],
-                         ids=["manifest-without-index-format", "truncated-index"])
+def _index_of_another_layout(out):
+    path = out / "visual.index.json"
+    index = json.loads(path.read_text())
+    index["oa_index"] = list(index["oa_index"].items())
+    path.write_text(json.dumps(index), encoding="utf-8")
+    return path
+
+
+def _index_format_2(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["index_format"] = 2
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    return out / "manifest.json"
+
+
+@pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index,
+                                     _index_format_2, _index_of_another_layout],
+                         ids=["manifest-without-index-format", "truncated-index",
+                              "manifest-index-format-2", "index-of-another-layout"])
 def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
     cfg, out = built
     path = corrupt(out)
@@ -317,6 +334,56 @@ def test_malformed_visual_genome_array_exits_2(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert main(["build", "--config", str(cfg)]) == 2
     assert f"{path}: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "1", "null", '"brandy"', '{"term": 5, "sense": "s", "segments": []}',
+    '{"term": "---", "sense": "s", "segments": []}',
+    '{"term": "cat", "sense": "s", "segments": 5}',
+    '{"term": "cat", "sense": "s", "segments": [1]}',
+    '{"term": "cat", "sense": "s", "segments": [{"role": "supertype"}]}',
+    '{"term": "cat", "sense": "s", "segments": [{"role": "supertype", "text": 5}]}',
+])
+def test_malformed_definition_exits_2_naming_line(tmp_path, capsys, line):
+    path = tmp_path / "definitions.jsonl"
+    path.write_text((DATA / "definitions.jsonl").read_text(encoding="utf-8") + line + "\n",
+                    encoding="utf-8")
+    lineno = len(path.read_text(encoding="utf-8").splitlines())
+    cfg = write_config(tmp_path, definitions=str(path))
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 2
+    assert f"{path}:{lineno}: " in capsys.readouterr().err
+
+
+class _Unencodable:
+    def to_dict(self, triple):
+        raise RuntimeError("cannot encode")
+
+
+class _Unlabelled:  # encodes, so verdicts.jsonl is written before semeval.csv fails
+    def to_dict(self, triple):
+        return {}
+
+    @property
+    def discriminative(self):
+        raise RuntimeError("no label")
+
+
+@pytest.mark.parametrize("failing,verdict", [("verdicts.jsonl", _Unencodable()),
+                                             ("semeval.csv", _Unlabelled())],
+                         ids=["verdicts", "semeval"])
+def test_failed_verdict_write_keeps_old_files(built, tmp_path, capsys, failing, verdict):
+    cfg, out = built
+    tf = tmp_path / "triples.csv"
+    tf.write_text("apple,banana,red\nplanet,moon,body\n", encoding="utf-8")
+    assert main(["classify", "--config", str(cfg), "--triples-file", str(tf)]) == 0
+    good = (out / failing).read_bytes()
+    names = sorted(p.name for p in out.iterdir())
+    triple = _read_triples_file(tf, load_lemma_table(DATA / "lemmas.tsv"))[0]
+    with pytest.raises(RuntimeError):
+        _write_verdicts([(triple, verdict)], out)
+    assert (out / failing).read_bytes() == good
+    assert sorted(p.name for p in out.iterdir()) == names
 
 
 @pytest.mark.parametrize("key", ["gold", "annotations"])

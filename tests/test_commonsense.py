@@ -4,26 +4,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discrimattr.commonsense import Assertion, CkgStore, load_assertions
+from discrimattr.commonsense import CkgStore, load_assertions
 from discrimattr.errors import DataFormatError
 
-from conftest import concepts_of, term
+from conftest import assertions_of, concepts_of, term
 
 
 def test_negated_relations_excluded(ckg_store):
-    assert all(not a.relation.startswith("Not") for a in ckg_store.assertions)
+    assert all(not relation.startswith("Not") for relation, *_ in assertions_of(ckg_store))
     # banana-red exists only as NotHasProperty in the raw dump
     assert not ckg_store.has_property(term("banana"), term("red")).member
 
 
 def test_bidirectional_indexing(ckg_store):
-    assert ckg_store.by_pair[("cognac", "french")] == ckg_store.by_pair[("french", "cognac")]
+    forward = ckg_store.has_property(term("cognac"), term("french")).evidence
+    reverse = ckg_store.has_property(term("french"), term("cognac")).evidence
+    assert [e.to_dict()["assertion"] for e in forward] == [e.to_dict()["assertion"] for e in reverse]
+    assert {e.direction for e in forward} == {"forward"}
+    assert {e.direction for e in reverse} == {"reverse"}
 
 
 def test_membership_with_evidence(ckg_store):
     res = ckg_store.has_property(term("cognac"), term("french"))
     assert res.member
-    assert res.evidence[0].assertion.relation == "HasProperty"
+    assert res.evidence[0].relation == "HasProperty"
     assert res.evidence[0].direction == "forward"
 
 
@@ -51,17 +55,13 @@ def test_multiword_whole_concept_default(ckg_store):
     assert not ckg_store.has_property(term("cream"), term("cold")).member
 
 
-def test_multiword_token_match_flag(ckg_store):
-    assert ckg_store.has_property(term("cream"), term("cold"), token_match=True).member
-
-
 def test_oracle_equivalence_linear_scan(ckg_store):
     concepts = concepts_of(ckg_store)
     for a in concepts:
         for b in concepts:
             brute = any(
-                (x.start == a and x.end == b) or (x.start == b and x.end == a)
-                for x in ckg_store.assertions
+                (start == a and end == b) or (start == b and end == a)
+                for _, start, end, _ in assertions_of(ckg_store)
             )
             assert ckg_store.has_property(term(a, a), term(b, b)).member == brute
 
@@ -76,14 +76,7 @@ def test_conceptnet_dump_format(data_dir, lemma_table):
     assert store.skipped == 1  # the malformed line
     # source weight is stored
     ev = store.has_property(term("cognac"), term("french")).evidence[0]
-    assert ev.assertion.weight == 2.0
-
-
-def test_relation_allowlist(data_dir, lemma_table):
-    store = load_assertions(data_dir / "assertions.tsv", lemma_table,
-                            relation_allowlist={"HasProperty"})
-    assert store.has_property(term("cognac"), term("french")).member
-    assert not store.has_property(term("cognac"), term("brandy")).member
+    assert ev.weight == 2.0
 
 
 def test_unreadable_file_errors(tmp_path, lemma_table):
@@ -92,15 +85,14 @@ def test_unreadable_file_errors(tmp_path, lemma_table):
 
 
 def test_self_loop_evidence_listed_once():
-    store = CkgStore.build([Assertion("RelatedTo", "x", "x"), Assertion("HasProperty", "x", "y")])
+    store = CkgStore.build([("RelatedTo", "x", "x", 1.0), ("HasProperty", "x", "y", 1.0)])
     res = store.has_property(term("x"), term("x"))
-    assert [(e.assertion.end, e.direction) for e in res.evidence] == [("x", "forward")]
-    assert len(store.has_property(term("x"), term("x"), token_match=True).evidence) == 1
+    assert [(e.end, e.direction) for e in res.evidence] == [("x", "forward")]
 
 
 concept_names = ["ant", "bee", "red", "ice_cream", "cream", "cold"]
 assertion_sets = st.lists(
-    st.builds(Assertion, st.sampled_from(["HasProperty", "RelatedTo", "NotHasProperty"]),
+    st.tuples(st.sampled_from(["HasProperty", "RelatedTo", "NotHasProperty"]),
               st.sampled_from(concept_names), st.sampled_from(concept_names),
               st.sampled_from([1.0, 2.0])),
     max_size=12,
@@ -114,6 +106,23 @@ def test_reloaded_store_answers_like_built(assertions):
     queried = concept_names + ["zebra"]
     for a in queried:
         for b in queried:
-            for token_match in (False, True):
-                assert reloaded.has_property(term(a), term(b), token_match) == \
-                    built.has_property(term(a), term(b), token_match)
+            assert reloaded.has_property(term(a), term(b)) == built.has_property(term(a), term(b))
+
+
+@given(assertion_sets)
+def test_evidence_in_assertion_order(assertions):
+    store = CkgStore.build(assertions)
+    kept = sorted({a for a in assertions if not a[0].startswith("Not")})
+    for a in concept_names:
+        for b in concept_names:
+            brute = [(relation, start, end, weight, "forward" if start == a else "reverse")
+                     for relation, start, end, weight in kept
+                     if (start, end) in ((a, b), (b, a))]
+            got = store.has_property(term(a), term(b)).evidence
+            assert [(e.relation, e.start, e.end, e.weight, e.direction) for e in got] == brute
+
+
+def test_index_form_is_the_store_form(ckg_store):
+    data = ckg_store.to_dict()
+    assert data["edges"] is ckg_store.edges
+    assert CkgStore.from_dict(data).edges is ckg_store.edges

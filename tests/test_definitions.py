@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from discrimattr.definitions import SEMANTIC_ROLES, _build_store, load_definitions
+from discrimattr.definitions import SEMANTIC_ROLES, _build_store, load_definitions, store_from_dict
 from discrimattr.errors import DataFormatError
 from discrimattr.text import normalize
 from discrimattr.types import Term
@@ -21,8 +21,8 @@ def write_jsonl(path, records):
 
 def test_supertype_head_extraction(definition_store):
     # "celestial body" -> head is the last non-stopword token
-    assert definition_store.supertype_edges["planet"] == ("body",)
-    assert definition_store.supertype_edges["moon"] == ("satellite",)
+    assert definition_store.supertype_edges["planet"] == ["body"]
+    assert definition_store.supertype_edges["moon"] == ["satellite"]
 
 
 def test_space_documents_are_segments(definition_store):
@@ -63,18 +63,15 @@ def test_malformed_json_names_line(tmp_path, lemma_table, stopwords):
 
 
 def test_expand_no_supertypes(definition_store):
-    recs = [rec for rec, _ in definition_store.expand(term("body"), max_depth=3)]
-    assert [r.term.lemma for r in recs] == ["body"]
+    assert [lemma for lemma, _ in definition_store.expand(term("body"), max_depth=3)] == ["body"]
 
 
 def test_expand_planet_reaches_body(definition_store):
-    recs = [rec for rec, _ in definition_store.expand(term("planet"), max_depth=1)]
-    assert [r.term.lemma for r in recs] == ["planet", "body"]
+    assert [lemma for lemma, _ in definition_store.expand(term("planet"), max_depth=1)] == ["planet", "body"]
 
 
 def test_expand_depth_zero_is_own_records(definition_store):
-    recs = [rec for rec, _ in definition_store.expand(term("planet"), max_depth=0)]
-    assert [r.term.lemma for r in recs] == ["planet"]
+    assert [lemma for lemma, _ in definition_store.expand(term("planet"), max_depth=0)] == ["planet"]
 
 
 def test_expand_cycle_terminates(tmp_path, lemma_table, stopwords):
@@ -83,8 +80,7 @@ def test_expand_cycle_terminates(tmp_path, lemma_table, stopwords):
         {"term": "b", "sense": "s1", "segments": [{"role": "supertype", "text": "a"}]},
     ]
     store = load_definitions(write_jsonl(tmp_path / "cycle.jsonl", records), lemma_table, stopwords)
-    recs = [rec for rec, _ in store.expand(term("a"), max_depth=5)]
-    assert [r.term.lemma for r in recs] == ["a", "b"]
+    assert [lemma for lemma, _ in store.expand(term("a"), max_depth=5)] == ["a", "b"]
 
 
 def test_has_property_brandy_wine(definition_store):
@@ -106,7 +102,7 @@ def test_self_mention_false(definition_store):
 
 
 def test_unknown_term_empty(definition_store):
-    assert [rec for rec, _ in definition_store.expand(term("zzz"), 3)] == []
+    assert definition_store.expand(term("zzz"), 3) == []
     assert not definition_store.has_property(term("zzz"), term("red")).member
 
 
@@ -138,13 +134,14 @@ def test_depth0_oracle_equivalence(reloaded_definition_store, lemma_table, stopw
     store = reloaded_definition_store
 
     def lemmas(seg):
-        return [x.lemma for x in normalize(seg.text, lemma_table, stopwords)]
+        role, text = seg
+        return [x.lemma for x in normalize(text, lemma_table, stopwords)]
 
-    vocab = {x for recs in store.records.values() for r in recs for s in r.segments
+    vocab = {x for recs in store.records.values() for r in recs for s in r["segments"]
              for x in lemmas(s)}
     for t, recs in store.records.items():
         for a in vocab:
-            brute = any(a in lemmas(s) for r in recs for s in r.segments)
+            brute = any(a in lemmas(s) for r in recs for s in r["segments"])
             res = store.has_property(term(t), Term(a, a), max_depth=0)
             assert res.member == brute
 
@@ -170,3 +167,17 @@ def test_reloaded_store_answers_like_built(defs, lemma_table, stopwords):
             for depth in range(4):
                 assert reloaded.has_property(term(t), term(a), depth) == \
                     built.has_property(term(t), term(a), depth)
+
+
+def test_index_form_is_the_store_form(definition_store):
+    data = definition_store.to_dict()
+    assert data["records"] is definition_store.records
+    assert data["supertype_edges"] is definition_store.supertype_edges
+    assert data["space"]["postings"] is definition_store.space.postings
+    reloaded = store_from_dict(data)
+    assert reloaded.records is definition_store.records
+    assert reloaded.supertype_edges is definition_store.supertype_edges
+    assert reloaded.space.postings is definition_store.space.postings
+    assert definition_store.records["brandy"] == [{"term": "brandy", "sense": "brandy.n.01", "segments": [
+        ["supertype", "strong liquor"],
+        ["differentia_event", "distilled from wine or fermented fruit juice"]]}]

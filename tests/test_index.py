@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError, EmptyCorpusError
-from discrimattr.index import ExplicitVectorSpace, dump_json, load_json
+from discrimattr.index import ExplicitVectorSpace, atomic_open, dump_json, load_json
 
 
 def space_of(*docs):
@@ -141,3 +141,33 @@ def test_failed_dump_json_keeps_old_file(tmp_path):
         dump_json({"a": [1], "b": object()}, path)
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["index.json"]
+
+
+def test_failed_atomic_open_keeps_old_file(tmp_path):
+    path = tmp_path / "report.txt"
+    with atomic_open(path) as fh:
+        fh.write("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("new, cut short")
+            raise RuntimeError("write failed")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+@pytest.mark.parametrize("store,key", [
+    ("definition_store", "records"), ("definition_store", "supertype_edges"),
+    ("ckg_store", "edges"), ("ckg_store", "skipped"),
+    ("visual_store", "oa_index"), ("visual_store", "relationships"),
+])
+def test_index_of_another_layout_fails_at_load(request, store, key):
+    from discrimattr import CkgStore, VisualStore
+    from discrimattr.definitions import store_from_dict
+
+    decode = {"definition_store": store_from_dict, "ckg_store": CkgStore.from_dict,
+              "visual_store": VisualStore.from_dict}[store]
+    data = json.loads(json.dumps(request.getfixturevalue(store).to_dict()))
+    decode(data)
+    data[key] = "x"
+    with pytest.raises(TypeError, match=repr(key)):
+        decode(data)

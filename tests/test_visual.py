@@ -9,7 +9,7 @@ from discrimattr.errors import DataFormatError
 from discrimattr.visual import (VisualStore, _ArrayReader, _Builder, _load_visual_genome,
                                 load_scene_graphs)
 
-from conftest import term
+from conftest import pairs_of, term
 
 
 def test_hand_tallied_counts(visual_store):
@@ -31,7 +31,7 @@ def test_attribute_phrase_splits(visual_store):
 def test_membership_and_evidence(visual_store):
     res = visual_store.has_property(term("cat"), term("whiskers", "whisker"))
     assert res.member
-    assert res.evidence[0].regions == (("2", "1"), ("2", "2"), ("3", "1"))
+    assert res.evidence[0].regions == [["2", "1"], ["2", "2"], ["3", "1"]]
 
 
 def test_unseen_object_false(visual_store):
@@ -55,7 +55,7 @@ def test_sor_inheritance(visual_store):
 
 
 def test_threshold_monotonicity(visual_store):
-    pairs = [(o, a) for (o, a) in visual_store.oa_index] + [("lion", "whisker")]
+    pairs = pairs_of(visual_store) + [("lion", "whisker")]
     for o, a in pairs:
         prev = True
         for mc in range(1, 6):
@@ -65,8 +65,8 @@ def test_threshold_monotonicity(visual_store):
 
 
 def test_sor_superset(visual_store):
-    objects = set(visual_store.sor_index) | {o for o, _ in visual_store.oa_index}
-    attrs = {a for _, a in visual_store.oa_index}
+    objects = set(visual_store.sor_index) | {o for o, _ in pairs_of(visual_store)}
+    attrs = {a for _, a in pairs_of(visual_store)}
     for o in objects:
         for a in attrs:
             without = visual_store.has_property(term(o), term(a), use_sor=False).member
@@ -79,8 +79,8 @@ def test_oracle_equivalence(visual_store, data_dir, lemma_table, stopwords):
 
     raw = [json.loads(l) for l in
            (data_dir / "scene_regions.jsonl").read_text().splitlines() if l]
-    attrs = {a for _, a in visual_store.oa_index}
-    objects = {o for o, _ in visual_store.oa_index}
+    attrs = {a for _, a in pairs_of(visual_store)}
+    objects = {o for o, _ in pairs_of(visual_store)}
     for o in objects:
         for a in attrs:
             brute = {
@@ -98,7 +98,7 @@ def test_evidence_groundedness(visual_store, data_dir):
     raw = {(str(r["image"]), str(r["region"]))
            for r in map(json.loads, (data_dir / "scene_regions.jsonl").read_text().splitlines())}
     res = visual_store.has_property(term("cat"), term("whiskers", "whisker"))
-    assert set(res.evidence[0].regions) <= raw
+    assert {tuple(r) for r in res.evidence[0].regions} <= raw
 
 
 def test_visual_genome_format(data_dir, lemma_table, stopwords):
@@ -126,7 +126,22 @@ def test_malformed_records_skipped(tmp_path, lemma_table, stopwords):
     assert store.skipped == 2
 
 
-@pytest.mark.parametrize("record", ["1", "null", "true", '"region object"', '["region", "object"]'])
+@pytest.mark.parametrize("record", [
+    "1", "null", "true", '"region object"', '["region", "object"]',
+    # an object of the wrong shape: a missing or non-str/int id, a name that
+    # is not a string, attributes that are not a list of strings
+    '{"region": 2, "object": "cat", "attributes": ["black"]}',
+    '{"image": 1, "region": 2, "object": 5}',
+    '{"image": 1, "region": 2, "object": "cat", "attributes": "black"}',
+    '{"image": 1, "region": 2, "object": "cat", "attributes": ["black", 5]}',
+    '{"image": 1, "region": [2], "object": "cat", "attributes": ["black"]}',
+    '{"image": 1.5, "region": 2, "object": "cat", "attributes": ["black"]}',
+    '{"image": true, "region": 2, "object": "cat", "attributes": ["black"]}',
+    '{"image": 1, "region": 2, "object": ["cat"], "attributes": ["black"]}',
+    '{"image": 1, "subject": "cat", "predicate": "on"}',
+    '{"image": 1, "subject": 5, "predicate": "on", "object": "mat"}',
+    '{"image": null, "subject": "cat", "predicate": "on", "object": "mat"}',
+])
 def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, record):
     p = tmp_path / "scenes.jsonl"
     p.write_text('{"image": 1, "region": 1, "object": "cat", "attributes": ["black"]}\n'
@@ -134,6 +149,7 @@ def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, recor
     store = load_scene_graphs([p], lemma_table, stopwords)
     assert store.count("cat", "black") == 1
     assert store.skipped == 1
+    assert list(store.oa_index) == ["cat\tblack"] and store.relationships == []
 
 
 @pytest.mark.parametrize("images,skipped", [
@@ -141,6 +157,22 @@ def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, recor
     ([7, None, "image"], 3),
     ([{"image_id": 1, "relationships": [2, [], {"predicate": "on", "subject": 5,
                                                 "object": {"name": "cat"}}]}], 3),
+    ([{"image_id": 1, "objects": 5}], 1),
+    ([{"image_id": 1, "objects": [], "relationships": {"predicate": "on"}}], 1),
+    ([{"objects": [{"object_id": 1, "names": ["cat"], "attributes": ["white"]}]}], 1),
+    ([{"image_id": 1, "objects": [{"names": ["cat"], "attributes": ["white"]},
+                                  {"object_id": 1.5, "names": ["cat"], "attributes": ["white"]},
+                                  {"object_id": 1, "names": "cat", "attributes": ["white"]},
+                                  {"object_id": 1, "name": 5, "attributes": ["white"]},
+                                  {"object_id": 1, "names": [["cat"]], "attributes": ["white"]},
+                                  {"object_id": 1, "names": ["cat"], "attributes": "white"},
+                                  {"object_id": 1, "names": ["cat"], "attributes": [None]}]}], 7),
+    ([{"image_id": [1], "relationships": [{"predicate": "on", "subject": {"name": "cat"},
+                                           "object": {"name": "mat"}}]},
+      {"image_id": 1, "relationships": [{"predicate": 5, "subject": {"name": "cat"},
+                                         "object": {"name": "mat"}},
+                                        {"predicate": "on", "subject": {"names": "cat"},
+                                         "object": {"name": "mat"}}]}], 3),
 ])
 def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopwords,
                                                  images, skipped):
@@ -150,6 +182,7 @@ def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopword
     store = load_scene_graphs([p], lemma_table, stopwords)
     assert store.count("cat", "black") == 1
     assert store.skipped == skipped
+    assert list(store.oa_index) == ["cat\tblack"] and store.relationships == []
 
 
 def test_unreadable_file_errors(tmp_path, lemma_table, stopwords):
@@ -174,9 +207,9 @@ def test_repeated_attribute_lemma_counts_region_once(tmp_path):
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     store = load_scene_graphs([path], {"cats": "cat"}, set())
-    assert store.oa_index[("cat", "black")] == [("1", "5"), ("9", "1"), ("9", "2")]
+    assert store.oa_index["cat\tblack"] == [["1", "5"], ["9", "1"], ["9", "2"]]
     for regions in store.oa_index.values():
-        assert regions == sorted(set(regions))
+        assert all(a < b for a, b in zip(regions, regions[1:]))  # sorted and unique
 
 
 objects = ["cat", "mat", "x"]
@@ -267,3 +300,22 @@ def test_streamed_visual_genome_builds_the_same_store(data_dir, lemma_table, sto
                 _load_visual_genome(read(fh), builder)
         stores.append(builder.finish().to_dict())
     assert stores[0] == stores[1]
+
+
+def test_index_form_is_the_store_form(visual_store):
+    data = visual_store.to_dict()
+    assert data["oa_index"] is visual_store.oa_index
+    assert data["relationships"] is visual_store.relationships
+    reloaded = VisualStore.from_dict(data)
+    assert reloaded.oa_index is visual_store.oa_index
+    assert reloaded.relationships is visual_store.relationships
+    assert visual_store.relationships == [["3", "man", "under", "tree"],
+                                          ["4", "window", "above", "table"]]
+
+
+def test_region_list_shared_by_its_pairs():
+    builder = _Builder({}, set())
+    builder.add_region(1, 2, "table", ["light brown"])
+    store = builder.finish()
+    assert store.oa_index == {"table\tlight": [["1", "2"]], "table\tbrown": [["1", "2"]]}
+    assert store.oa_index["table\tlight"][0] is store.oa_index["table\tbrown"][0]
