@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import commonsense, definitions, evaluation, text, visual
+from . import cascade, commonsense, definitions, evaluation, text, visual
 from .cascade import STAGES, CascadeConfig, StoreSet, classify_batch, render_explanation
 from .commonsense import CkgStore
 from .definitions import DEFAULT_MAX_DEPTH
@@ -294,7 +294,8 @@ def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
         triples = _read_triples_file(triples_file, lemma_table)
     else:
         raise ConfigError("provide a triple (pivot comparison attribute) or --triples-file")
-    results, _ = classify_batch(triples, stores, cfg.cascade_config())
+    config = cfg.cascade_config()
+    results = [(t, cascade.classify(t, stores, config)) for t in triples]
     out = Path(cfg.output_dir)
     _write_verdicts(results, out)
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -365,7 +366,7 @@ def cmd_evaluate(cfg) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_verdicts(results, out)
-    dump_json(report.to_dict(), out / "report.json")
+    dump_json(report, out / "report.json")
     rendered = evaluation.render_report(report)
     with atomic_open(out / "report.txt") as fh:
         fh.write(rendered)
@@ -378,12 +379,7 @@ def cmd_report(cfg) -> int:
     if not path.exists():
         raise DataFormatError("no report.json; run `discrimattr evaluate` first", path=str(path))
     with _malformed(path, "evaluate"):
-        data = load_json(path)
-        rendered = evaluation.render_report(evaluation.EvalReport(
-            macro_f1=data["macro_f1"], metrics=data["metrics"], errors=data["errors"],
-            category_recall=data["category_recall"], overlap=data["overlap"],
-            notes=data["notes"],
-        ))
+        rendered = evaluation.render_report(load_json(path))
     print(rendered, end="")
     return 0
 

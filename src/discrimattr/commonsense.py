@@ -8,6 +8,7 @@ Negated relations (label prefixed "Not") are dropped at load time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import DataFormatError
@@ -134,23 +135,21 @@ def _parse_line(parts, language_filter):
         end = _concept_from_uri(parts[3], language_filter)
         if start is None or end is None:
             return "filtered"
-        weight = 1.0
-        if len(parts) >= 5:
-            try:
-                weight = float(json.loads(parts[4]).get("weight", 1.0))
-            except (json.JSONDecodeError, TypeError, ValueError):
-                return None
-        return relation, start, end, weight
-    if len(parts) in (3, 4):
+        try:
+            weight = float(json.loads(parts[4]).get("weight", 1.0)) if len(parts) >= 5 else 1.0
+        except (json.JSONDecodeError, TypeError, ValueError, AttributeError):
+            return None
+    elif len(parts) in (3, 4):
         # simplified fixture row: relation, start, end[, weight]
         relation, start, end = parts[0], parts[1], parts[2]
         if not relation or not start or not end:
             return None
-        weight = 1.0
-        if len(parts) == 4:
-            try:
-                weight = float(parts[3])
-            except ValueError:
-                return None
-        return relation, start, end, weight
-    return None
+        try:
+            weight = float(parts[3]) if len(parts) == 4 else 1.0
+        except ValueError:
+            return None
+    else:
+        return None
+    # NaN is unequal to itself, so its repeats would not collapse, and JSON
+    # has no literal for NaN or the infinities
+    return (relation, start, end, weight) if math.isfinite(weight) else None

@@ -59,9 +59,10 @@ class DefinitionStore:
     """Immutable after load; concurrent readers are safe. Built, persisted
     and queried in one form:
 
-    - `records`: lemma -> [{"term", "sense", "segments": [[role, text], ...]}];
+    - `records`: lemma -> [[sense, role, text], ...], its segments in file order;
     - `supertype_edges`: lemma -> sorted [lemma, ...];
-    - `space`: the inverted index over the segments."""
+    - `space`: the inverted index over the segments, which names each one
+      by its lemma and its position in the lemma's records."""
 
     def __init__(self, records, supertype_edges, space):
         self.records = records
@@ -98,30 +99,18 @@ class DefinitionStore:
         definitions or of its supertype ancestors within max_depth.
 
         The attribute's postings are intersected with the supertype
-        expansion; evidence follows expansion order, then segment order.
-        Only the records that the postings name get their segment fields derived."""
-        fields = self.space.documents_containing(attribute.lemma)
+        expansion; evidence follows expansion order, then segment order."""
+        positions = self.space.documents_containing(attribute.lemma)
         evidence = []
-        for lemma, path in self.expand(term, max_depth) if fields else ():
-            found = fields.get(lemma)
-            for rec in self.records[lemma] if found else ():
-                role_counts = {}
-                for role, text in rec["segments"]:
-                    if _field(rec["sense"], role, role_counts) in found:
-                        evidence.append(DefinitionEvidence(lemma, rec["sense"], role, text, path))
+        for lemma, path in self.expand(term, max_depth) if positions else ():
+            for i in positions.get(lemma, ()):
+                sense, role, text = self.records[lemma][i]
+                evidence.append(DefinitionEvidence(lemma, sense, role, text, path))
         return MembershipResult(member=bool(evidence), evidence=tuple(evidence))
 
     def to_dict(self):
         return {"records": self.records, "supertype_edges": self.supertype_edges,
                 "space": self.space.to_dict()}
-
-
-def _field(sense_id, role, role_counts):
-    """The segment's index field. Repeated roles within one sense get an
-    ordinal suffix to keep (document_id, field) pairs unique."""
-    n = role_counts.get(role, 0)
-    role_counts[role] = n + 1
-    return f"{sense_id}/{role}" if n == 0 else f"{sense_id}/{role}#{n}"
 
 
 def _build_store(raw_records, lemma_table, stopwords):
@@ -138,17 +127,16 @@ def _build_store(raw_records, lemma_table, stopwords):
         if key in seen_senses:
             raise DataFormatError(f"duplicate (term, sense) {key}", path=where[0], line=where[1])
         seen_senses.add(key)
-        role_counts = {}
+        segs = records.setdefault(lemma, [])
         for role, text in segments:
             if role not in SEMANTIC_ROLES:
                 raise DataFormatError(f"unknown semantic role {role!r}", path=where[0], line=where[1])
-            tokens = normalize(text, lemma_table, stopwords)
-            documents.append((lemma, _field(sense_id, role, role_counts), [t.lemma for t in tokens]))
-            if role == "supertype" and tokens:
+            lemmas = normalize(text, lemma_table, stopwords)
+            documents.append((lemma, len(segs), lemmas))
+            segs.append([sense_id, role, text])
+            if role == "supertype" and lemmas:
                 # NP-head heuristic: the last non-stopword token is the genus.
-                edges.setdefault(lemma, set()).add(tokens[-1].lemma)
-        records.setdefault(lemma, []).append(
-            {"term": term, "sense": sense_id, "segments": [[role, text] for role, text in segments]})
+                edges.setdefault(lemma, set()).add(lemmas[-1])
     edges = {k: sorted(v) for k, v in edges.items()}
     return DefinitionStore(records, edges, ExplicitVectorSpace.build(documents))
 
@@ -174,13 +162,14 @@ def load_definitions(path, lemma_table, stopwords) -> DefinitionStore:
             for field in ("term", "sense", "segments"):
                 if field not in obj:
                     raise DataFormatError(f"missing field {field!r}", path=path, line=lineno)
-            if type(obj["term"]) is not str:
-                raise DataFormatError("'term' must be a string", path=path, line=lineno)
+            for field in ("term", "sense"):
+                if type(obj[field]) is not str:
+                    raise DataFormatError(f"{field!r} must be a string", path=path, line=lineno)
             segments = obj["segments"]
             if type(segments) is not list or not all(map(_is_segment, segments)):
                 raise DataFormatError("each segment needs string 'role' and 'text'",
                                       path=path, line=lineno)
-            raw.append((obj["term"], str(obj["sense"]),
+            raw.append((obj["term"], obj["sense"],
                         [(seg["role"], seg["text"]) for seg in segments], (str(path), lineno)))
     return _build_store(raw, lemma_table, stopwords)
 

@@ -10,7 +10,7 @@ import csv
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataFormatError
 from .text import lemma_of
@@ -253,49 +253,28 @@ def error_breakdown(models_preds: dict, gold: GoldDataset, sample_size: int = 10
     return out
 
 
-@dataclass
-class EvalReport:
-    macro_f1: float
-    metrics: dict
-    errors: dict
-    category_recall: dict | None = None
-    overlap: dict | None = None
-    notes: list[str] = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "macro_f1": self.macro_f1,
-            "metrics": self.metrics,
-            "errors": self.errors,
-            "category_recall": self.category_recall,
-            "overlap": self.overlap,
-            "notes": self.notes,
-        }
-
-
-def build_report(component_preds, combined_preds, gold, annotations=None) -> EvalReport:
+def build_report(component_preds, combined_preds, gold, annotations=None) -> dict:
+    """The report, as `report.json` holds it."""
     metrics = per_class_metrics(combined_preds, gold)
     notes = []
     if metrics["positive"]["vacuous"] or metrics["negative"]["vacuous"]:
         notes.append("a class with no predicted and no actual members scored F1=1 by convention")
-    report = EvalReport(
-        macro_f1=macro_f1(combined_preds, gold),
-        metrics=metrics,
-        errors=error_breakdown({**component_preds, "combined": combined_preds}, gold),
-        notes=notes,
-    )
     if annotations:
-        report.category_recall = per_category_recall(
-            component_preds, combined_preds, gold, annotations
-        )
-        report.overlap = overlap_analysis(component_preds, combined_preds, gold, annotations)
+        category_recall = per_category_recall(component_preds, combined_preds, gold, annotations)
+        overlap = overlap_analysis(component_preds, combined_preds, gold, annotations)
     else:
-        report.overlap = overlap_analysis(component_preds, combined_preds, gold)
-        report.notes.append("no category annotations supplied; category tables skipped")
-    report.notes.append(
-        "per-category cells report recall, not F1 (the two are sometimes conflated)"
-    )
-    return report
+        category_recall = None
+        overlap = overlap_analysis(component_preds, combined_preds, gold)
+        notes.append("no category annotations supplied; category tables skipped")
+    notes.append("per-category cells report recall, not F1 (the two are sometimes conflated)")
+    return {
+        "macro_f1": macro_f1(combined_preds, gold),
+        "metrics": metrics,
+        "errors": error_breakdown({**component_preds, "combined": combined_preds}, gold),
+        "category_recall": category_recall,
+        "overlap": overlap,
+        "notes": notes,
+    }
 
 
 def _fmt(value):
@@ -304,43 +283,43 @@ def _fmt(value):
     return f"{value:.3f}"
 
 
-def render_report(report: EvalReport) -> str:
-    """Human-readable report; byte-stable for identical inputs."""
+def render_report(report: dict) -> str:
+    """Human-readable text of a `build_report` dict; byte-stable for identical inputs."""
     lines = []
-    c = report.metrics["confusion"]
+    c = report["metrics"]["confusion"]
     lines.append("== Discriminative attribute evaluation ==")
-    lines.append(f"macro F1: {report.macro_f1:.4f}")
+    lines.append(f"macro F1: {report['macro_f1']:.4f}")
     lines.append(f"confusion: TP={c['tp']} FP={c['fp']} FN={c['fn']} TN={c['tn']}")
     for cls in ("positive", "negative"):
-        m = report.metrics[cls]
+        m = report["metrics"][cls]
         lines.append(
             f"{cls}: precision={m['precision']:.4f} recall={m['recall']:.4f} f1={m['f1']:.4f}"
         )
-    if report.category_recall:
+    if report["category_recall"]:
         lines.append("")
         lines.append("-- per-category recall --")
         cats = sorted(CATEGORIES)
         lines.append("model      " + " ".join(f"{c:>10}" for c in cats))
         for name in list(COMPONENTS) + ["combined", "gain"]:
-            row = report.category_recall[name]
+            row = report["category_recall"][name]
             lines.append(f"{name:<10} " + " ".join(f"{_fmt(row[c]):>10}" for c in cats))
-    if report.overlap:
+    if report["overlap"]:
         lines.append("")
         lines.append("-- component overlap (fraction of combined TPs / FPs) --")
         keys = ["^".join(group) for group in OVERLAP_GROUPS] + ["average"]
         for kind in ("true", "false"):
-            row = report.overlap[kind]
+            row = report["overlap"][kind]
             cells = " ".join(f"{k}={_fmt(row[k])}" for k in keys)
             lines.append(f"{kind}: {cells}")
     lines.append("")
     lines.append("-- error breakdown --")
-    ordered = [n for n in list(COMPONENTS) + ["combined"] if n in report.errors]
-    ordered += sorted(set(report.errors) - set(ordered))
+    ordered = [n for n in list(COMPONENTS) + ["combined"] if n in report["errors"]]
+    ordered += sorted(set(report["errors"]) - set(ordered))
     for name in ordered:
-        row = report.errors[name]
+        row = report["errors"][name]
         lines.append(f"{name}: FN={row['fn']} FP={row['fp']} FN-share={_fmt(row['fn_share'])}")
-    if report.notes:
+    if report["notes"]:
         lines.append("")
-        for note in report.notes:
+        for note in report["notes"]:
             lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"

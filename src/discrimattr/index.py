@@ -1,7 +1,8 @@
 """Sparse explicit vector space materialized as an inverted index.
 
 Documents are (document_id, field, tokens) triples; a document_id may span
-several fields (e.g. the semantic-role segments of one definition sense).
+several fields (e.g. the definition segments of one lemma, each named by its
+position).
 Each lemma's postings map the documents containing it to their fields, so
 its document frequency is their count and its idf is ln(N / df), with
 unseen lemmas mapped to the sentinel ln(N + 1).
@@ -15,7 +16,7 @@ from contextlib import contextmanager
 
 from .errors import DataFormatError, EmptyCorpusError
 
-FORMAT_VERSION = 3  # of the index files; `build` records it in the manifest
+FORMAT_VERSION = 4  # of the index files; `build` records it in the manifest
 
 
 class ExplicitVectorSpace:
@@ -30,14 +31,15 @@ class ExplicitVectorSpace:
 
     @classmethod
     def build(cls, documents) -> "ExplicitVectorSpace":
-        """Build from (document_id, field, lemma-list) records.
+        """Build from (document_id, field, lemma-list) records. Fields are
+        kept as given, so int fields sort as numbers.
 
         Duplicate (document_id, field) pairs with identical tokens are
         collapsed; with differing tokens they are rejected.
         """
         seen = {}
         for doc_id, fld, tokens in documents:
-            key = (str(doc_id), str(fld))
+            key = (str(doc_id), fld)
             toks = tuple(tokens)
             if key in seen and seen[key] != toks:
                 raise DataFormatError(

@@ -10,7 +10,6 @@ import re
 from importlib import resources
 
 from .errors import DataFormatError
-from .types import Term
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -24,7 +23,8 @@ def load_lemma_table(path) -> dict[str, str]:
     """Load a two-column tab-separated surface→lemma table.
 
     Chains (a→b, b→c) are resolved at load time so lemmatization is
-    idempotent; cycles are broken at the first repeated entry.
+    idempotent; cycles are broken at the first repeated entry. A lemma with
+    whitespace in it is rejected, so every lemma is one token of a store key.
     """
     table = {}
     with open(path, encoding="utf-8") as fh:
@@ -35,6 +35,8 @@ def load_lemma_table(path) -> dict[str, str]:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise DataFormatError("expected `surface<TAB>lemma`", path=path, line=lineno)
+            if any(c.isspace() for c in parts[1]):
+                raise DataFormatError(f"lemma {parts[1]!r} contains whitespace", path=path, line=lineno)
             table[parts[0].lower()] = parts[1].lower()
     return _resolve_chains(table)
 
@@ -67,15 +69,10 @@ def default_stopwords() -> set[str]:
         return load_stopwords(p)
 
 
-def normalize(text: str, lemma_table: dict[str, str], stopwords: set[str]) -> list[Term]:
-    """Lowercase, lemmatize, and strip stopwords; order preserved."""
-    out = []
-    for token in tokenize(text):
-        lemma = lemma_table.get(token, token)
-        if lemma in stopwords:
-            continue
-        out.append(Term(surface=token, lemma=lemma))
-    return out
+def normalize(text: str, lemma_table: dict[str, str], stopwords: set[str]) -> list[str]:
+    """The lemmas of the text's tokens, stopwords dropped; order preserved."""
+    lemmas = (lemma_table.get(token, token) for token in tokenize(text))
+    return [lemma for lemma in lemmas if lemma not in stopwords]
 
 
 def lemma_of(surface: str, lemma_table: dict[str, str]) -> str:

@@ -18,10 +18,6 @@ class Term:
     surface: str
     lemma: str
 
-    def __post_init__(self):
-        if not self.lemma or any(c.isspace() for c in self.lemma):
-            raise ValueError(f"invalid lemma {self.lemma!r} for surface {self.surface!r}")
-
 
 @dataclass(frozen=True)
 class Triple:

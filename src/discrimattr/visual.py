@@ -150,7 +150,7 @@ class _Builder:
         for attr in attributes:
             # attribute phrases split into tokens, each indexed separately
             if attr not in self._lemmas:
-                self._lemmas[attr] = [t.lemma for t in normalize(attr, self.lemma_table, self.stopwords)]
+                self._lemmas[attr] = normalize(attr, self.lemma_table, self.stopwords)
             for lemma in self._lemmas[attr]:
                 self.oa.setdefault(f"{obj}\t{lemma}", []).append(region)
 

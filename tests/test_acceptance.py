@@ -82,26 +82,25 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
     reloaded = reload_definitions(definition_store)
 
     def seg_lemmas(seg):
-        role, text = seg
-        return [x.lemma for x in normalize(text, lemma_table, stopwords)]
+        sense, role, text = seg
+        return normalize(text, lemma_table, stopwords)
 
-    vocab = {x for recs in reloaded.records.values()
-             for r in recs for s in r["segments"] for x in seg_lemmas(s)}
-    for lemma, recs in reloaded.records.items():
+    vocab = {x for segs in reloaded.records.values() for s in segs for x in seg_lemmas(s)}
+    for lemma, segs in reloaded.records.items():
         for a in vocab:
-            brute = any(a in seg_lemmas(s) for r in recs for s in r["segments"])
+            brute = any(a in seg_lemmas(s) for s in segs)
             res = reloaded.has_property(Term(lemma, lemma), Term(a, a), max_depth=0)
             assert res.member == brute
 
     # vfm membership vs brute-force scan of raw annotations
-    raw = [json.loads(l) for l in (DATA / "scene_regions.jsonl").read_text().splitlines() if l]
+    raw = [json.loads(l) for l in
+           (DATA / "scene_regions.jsonl").read_text(encoding="utf-8").splitlines() if l]
     for o in {x for x, _ in pairs_of(visual_store)}:
         for a in {x for _, x in pairs_of(visual_store)}:
             brute = {
                 (str(r["image"]), str(r["region"])) for r in raw
                 if lemma_of(r["object"], lemma_table) == o
-                and any(a in [t.lemma for t in normalize(s, lemma_table, stopwords)]
-                        for s in r["attributes"])
+                and any(a in normalize(s, lemma_table, stopwords) for s in r["attributes"])
             }
             assert visual_store.count(o, a) == len(brute)
             assert visual_store.has_property(term(o, o), term(a, a)).member == bool(brute)
@@ -207,7 +206,8 @@ def test_criterion_4_full_corpus_reproduction(tmp_path):
     cfg = os.environ["DISCRIMATTR_FULL_CORPUS_CONFIG"]
     assert main(["build", "--config", cfg]) == 0
     assert main(["evaluate", "--config", cfg]) == 0
-    out = json.loads(Path(json.loads(Path(cfg).read_text())["output_dir"], "report.json").read_text())
+    output_dir = json.loads(Path(cfg).read_text(encoding="utf-8"))["output_dir"]
+    out = json.loads(Path(output_dir, "report.json").read_text(encoding="utf-8"))
     assert 0.64 <= out["macro_f1"] <= 0.74
     avg_tp_overlap = out["overlap"]["true"]["average"]
     assert abs(avg_tp_overlap - 0.11) <= 0.05

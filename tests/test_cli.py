@@ -43,7 +43,7 @@ def test_build_writes_stores_and_manifest(built, capsys):
     for f in ("definitions.index.json", "commonsense.index.json",
               "visual.index.json", "manifest.json"):
         assert (out / f).exists()
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest["document_counts"]) == {"definitions", "commonsense", "visual"}
     assert manifest["document_counts"]["definitions"] == 13
     assert all("sha256" in entry for entry in manifest["inputs"].values())
@@ -69,7 +69,7 @@ def test_classify_single_triple(built, capsys):
     stdout = capsys.readouterr().out
     assert "apple,banana,red,1" in stdout
     assert (out / "verdicts.jsonl").exists()
-    assert (out / "semeval.csv").read_text().strip() == "apple,banana,red,1"
+    assert (out / "semeval.csv").read_text(encoding="utf-8").strip() == "apple,banana,red,1"
 
 
 def test_classify_negative_triple(built, capsys):
@@ -83,7 +83,7 @@ def test_classify_triples_file_order_preserved(built, tmp_path, capsys):
     tf = tmp_path / "triples.csv"
     tf.write_text("planet,moon,body\napple,banana,red\ncat,lion,whiskers\n", encoding="utf-8")
     assert main(["classify", "--config", str(cfg), "--triples-file", str(tf)]) == 0
-    lines = (out / "semeval.csv").read_text().strip().splitlines()
+    lines = (out / "semeval.csv").read_text(encoding="utf-8").strip().splitlines()
     assert lines == ["planet,moon,body,0", "apple,banana,red,1", "cat,lion,whiskers,1"]
 
 
@@ -101,7 +101,7 @@ def test_semeval_csv_quotes_surfaces_with_commas(built, tmp_path, capsys):
         assert [len(row) for row in csv.reader(fh)] == [4, 4]
     triples = _read_triples_file(out / "semeval.csv", load_lemma_table(DATA / "lemmas.tsv"))
     assert [t.pivot.surface for t in triples] == ["big, red", "apple"]
-    assert (out / "semeval.csv").read_text().splitlines()[1] == "apple,banana,red,1"
+    assert (out / "semeval.csv").read_text(encoding="utf-8").splitlines()[1] == "apple,banana,red,1"
 
 
 def test_vocabulary_is_fixed_at_build(tmp_path, capsys):
@@ -122,7 +122,7 @@ def test_vocabulary_is_fixed_at_build(tmp_path, capsys):
     capsys.readouterr()
     assert main(["classify", "--config", str(cfg), "cat", "lion", "hair"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "cat,lion,hair,1"
-    verdict = json.loads((out / "verdicts.jsonl").read_text())
+    verdict = json.loads((out / "verdicts.jsonl").read_text(encoding="utf-8"))
     assert verdict["deciding_component"] == "DBM"
     assert verdict["explanation"]["pivot_evidence"][0]["text"] == "long whiskers"
 
@@ -141,15 +141,16 @@ def test_manifest_mismatch_refuses(built, tmp_path, capsys):
     cfg, out = built
     # point the manifest at a modified copy of one input
     defs2 = tmp_path / "defs2.jsonl"
-    defs2.write_text((DATA / "definitions.jsonl").read_text() + "\n", encoding="utf-8")
-    manifest = json.loads((out / "manifest.json").read_text())
+    defs2.write_text((DATA / "definitions.jsonl").read_text(encoding="utf-8") + "\n",
+                     encoding="utf-8")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     manifest["inputs"]["definitions"]["path"] = str(defs2)
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["classify", "--config", str(cfg), "a", "b", "c"]) == 2
 
 
 def _without_index_format(out):
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     manifest.pop("index_format", None)
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     return out / "manifest.json"
@@ -163,23 +164,26 @@ def _truncated_visual_index(out):
 
 def _index_of_another_layout(out):
     path = out / "visual.index.json"
-    index = json.loads(path.read_text())
+    index = json.loads(path.read_text(encoding="utf-8"))
     index["oa_index"] = list(index["oa_index"].items())
     path.write_text(json.dumps(index), encoding="utf-8")
     return path
 
 
-def _index_format_2(out):
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest["index_format"] = 2
-    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    return out / "manifest.json"
+def _index_format(number):
+    def corrupt(out):
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest["index_format"] = number
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        return out / "manifest.json"
+    return corrupt
 
 
 @pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index,
-                                     _index_format_2, _index_of_another_layout],
+                                     _index_format(2), _index_format(3), _index_of_another_layout],
                          ids=["manifest-without-index-format", "truncated-index",
-                              "manifest-index-format-2", "index-of-another-layout"])
+                              "manifest-index-format-2", "manifest-index-format-3",
+                              "index-of-another-layout"])
 def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
     cfg, out = built
     path = corrupt(out)
@@ -276,7 +280,7 @@ def test_evaluate_fixture_gold(built, capsys):
     # hand-checked confusion matrix on the fixture gold set
     assert "TP=5 FP=1 FN=1 TN=2" in stdout
     assert "macro F1: 0.7500" in stdout
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["macro_f1"] == pytest.approx(0.75)
     assert (out / "report.txt").exists()
 
@@ -286,7 +290,7 @@ def test_evaluate_without_annotations_skips_categories(built, tmp_path, capsys):
                             annotations=str(tmp_path / "missing.csv"))
     main(["build", "--config", str(cfg_path)])
     assert main(["evaluate", "--config", str(cfg_path)]) == 0
-    out = json.loads((tmp_path / "out" / "report.json").read_text())
+    out = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert out["category_recall"] is None
 
 
@@ -343,6 +347,8 @@ def test_malformed_visual_genome_array_exits_2(tmp_path, capsys, corrupt):
     '{"term": "cat", "sense": "s", "segments": [1]}',
     '{"term": "cat", "sense": "s", "segments": [{"role": "supertype"}]}',
     '{"term": "cat", "sense": "s", "segments": [{"role": "supertype", "text": 5}]}',
+    '{"term": "cat", "sense": null, "segments": []}',
+    '{"term": "cat", "sense": ["a"], "segments": []}',
 ])
 def test_malformed_definition_exits_2_naming_line(tmp_path, capsys, line):
     path = tmp_path / "definitions.jsonl"
@@ -350,6 +356,17 @@ def test_malformed_definition_exits_2_naming_line(tmp_path, capsys, line):
                     encoding="utf-8")
     lineno = len(path.read_text(encoding="utf-8").splitlines())
     cfg = write_config(tmp_path, definitions=str(path))
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 2
+    assert f"{path}:{lineno}: " in capsys.readouterr().err
+
+
+def test_lemma_with_whitespace_exits_2_naming_line(tmp_path, capsys):
+    path = tmp_path / "lemmas.tsv"
+    path.write_text((DATA / "lemmas.tsv").read_text(encoding="utf-8") + "wines\tred wine\n",
+                    encoding="utf-8")
+    lineno = len(path.read_text(encoding="utf-8").splitlines())
+    cfg = write_config(tmp_path, lemma_table=str(path))
     capsys.readouterr()
     assert main(["build", "--config", str(cfg)]) == 2
     assert f"{path}:{lineno}: " in capsys.readouterr().err

@@ -79,6 +79,25 @@ def test_conceptnet_dump_format(data_dir, lemma_table):
     assert ev.weight == 2.0
 
 
+def _conceptnet_row(meta):
+    return f"/a/x\t/r/HasProperty\t/c/en/cat\t/c/en/soft\t{meta}"
+
+
+@pytest.mark.parametrize("line", [
+    "HasProperty\tcat\tsoft\tnan", "HasProperty\tcat\tsoft\tinf", "HasProperty\tcat\tsoft\t-inf",
+    _conceptnet_row('{"weight": NaN}'), _conceptnet_row('{"weight": Infinity}'),
+    _conceptnet_row('{"weight": -Infinity}'), _conceptnet_row("[1]"),
+], ids=["nan", "inf", "-inf", "conceptnet-nan", "conceptnet-inf", "conceptnet--inf",
+        "conceptnet-meta-not-an-object"])
+def test_line_without_finite_weight_is_skipped(tmp_path, lemma_table, line):
+    path = tmp_path / "assertions.tsv"
+    path.write_text(f"{line}\n{line}\nHasProperty\tcat\tfur\t1.0\n", encoding="utf-8")
+    store = load_assertions(path, lemma_table)
+    assert store.skipped == 2
+    assert store.edges == {"cat\tfur": [["HasProperty", 1.0]]}
+    json.dumps(store.to_dict(), allow_nan=False)  # the index is standard JSON
+
+
 def test_unreadable_file_errors(tmp_path, lemma_table):
     with pytest.raises(DataFormatError):
         load_assertions(tmp_path / "missing.tsv", lemma_table)

@@ -26,9 +26,9 @@ def test_supertype_head_extraction(definition_store):
 
 
 def test_space_documents_are_segments(definition_store):
-    assert definition_store.space.documents_containing("wine") == {
-        "brandy": ["brandy.n.01/differentia_event"]
-    }
+    assert definition_store.space.documents_containing("wine") == {"brandy": [1]}
+    assert definition_store.records["brandy"][1] == [
+        "brandy.n.01", "differentia_event", "distilled from wine or fermented fruit juice"]
 
 
 def test_empty_file(tmp_path, lemma_table, stopwords):
@@ -125,8 +125,7 @@ def test_evidence_soundness(reloaded_definition_store, lemma_table, stopwords):
         for a in ["body", "fruit", "wine", "yellow"]:
             res = store.has_property(term(t), term(a))
             for e in res.evidence:
-                lemmas = [x.lemma for x in normalize(e.text, lemma_table, stopwords)]
-                assert a in lemmas
+                assert a in normalize(e.text, lemma_table, stopwords)
 
 
 def test_depth0_oracle_equivalence(reloaded_definition_store, lemma_table, stopwords):
@@ -134,14 +133,13 @@ def test_depth0_oracle_equivalence(reloaded_definition_store, lemma_table, stopw
     store = reloaded_definition_store
 
     def lemmas(seg):
-        role, text = seg
-        return [x.lemma for x in normalize(text, lemma_table, stopwords)]
+        sense, role, text = seg
+        return normalize(text, lemma_table, stopwords)
 
-    vocab = {x for recs in store.records.values() for r in recs for s in r["segments"]
-             for x in lemmas(s)}
-    for t, recs in store.records.items():
+    vocab = {x for segs in store.records.values() for s in segs for x in lemmas(s)}
+    for t, segs in store.records.items():
         for a in vocab:
-            brute = any(a in lemmas(s) for r in recs for s in r["segments"])
+            brute = any(a in lemmas(s) for s in segs)
             res = store.has_property(term(t), Term(a, a), max_depth=0)
             assert res.member == brute
 
@@ -178,6 +176,23 @@ def test_index_form_is_the_store_form(definition_store):
     assert reloaded.records is definition_store.records
     assert reloaded.supertype_edges is definition_store.supertype_edges
     assert reloaded.space.postings is definition_store.space.postings
-    assert definition_store.records["brandy"] == [{"term": "brandy", "sense": "brandy.n.01", "segments": [
-        ["supertype", "strong liquor"],
-        ["differentia_event", "distilled from wine or fermented fruit juice"]]}]
+    assert definition_store.records["brandy"] == [
+        ["brandy.n.01", "supertype", "strong liquor"],
+        ["brandy.n.01", "differentia_event", "distilled from wine or fermented fruit juice"]]
+    postings = definition_store.space.postings
+    assert all(type(i) is int for docs in postings.values() for ids in docs.values() for i in ids)
+
+
+def test_evidence_follows_segment_order_past_nine(tmp_path, lemma_table, stopwords):
+    # 12 segments over two senses; "red" at positions 2 and 10, so positions
+    # sorted as strings ("10" < "2") would put the later segment first
+    texts = [f"red tint {i}" if i in (2, 10) else f"plain {i}" for i in range(12)]
+    records = [{"term": "ant", "sense": sense,
+                "segments": [{"role": "differentia_quality", "text": t} for t in half]}
+               for sense, half in (("s1", texts[:6]), ("s2", texts[6:]))]
+    built = load_definitions(write_jsonl(tmp_path / "long.jsonl", records), lemma_table, stopwords)
+    assert built.space.documents_containing("red") == {"ant": [2, 10]}
+    for store in (built, reload_definitions(built)):
+        res = store.has_property(term("ant"), term("red"))
+        assert [(e.sense_id, e.text) for e in res.evidence] == [
+            ("s1", "red tint 2"), ("s2", "red tint 10")]

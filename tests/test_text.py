@@ -7,24 +7,20 @@ from discrimattr.text import (lemma_of, load_lemma_table, load_stopwords,
                               normalize, tokenize)
 
 
-def lemmas(terms):
-    return [t.lemma for t in terms]
-
-
 def test_stopword_removal(lemma_table, stopwords):
-    assert lemmas(normalize("a tall deciduous tree", lemma_table, stopwords)) == [
+    assert normalize("a tall deciduous tree", lemma_table, stopwords) == [
         "tall", "deciduous", "tree",
     ]
 
 
 def test_lemma_table_lookup(lemma_table, stopwords):
-    assert lemmas(normalize("Apples", lemma_table, stopwords)) == ["apple"]
+    assert normalize("Apples", lemma_table, stopwords) == ["apple"]
 
 
 def test_fixture_gloss(lemma_table, stopwords):
     # hand-applied fixture table: distilled->distill, fermented->ferment;
     # stopwords include "from" and "or"
-    out = lemmas(normalize("distilled from wine or fermented fruit juice", lemma_table, stopwords))
+    out = normalize("distilled from wine or fermented fruit juice", lemma_table, stopwords)
     assert out == ["distill", "wine", "ferment", "fruit", "juice"]
 
 
@@ -36,11 +32,14 @@ def test_tokenize_splits_non_alphanumeric():
     assert tokenize("Light-Brown, metallic!") == ["light", "brown", "metallic"]
 
 
-def test_malformed_lemma_table(tmp_path):
+@pytest.mark.parametrize("row", ["justonecolumn", "wines\tred wine"],
+                         ids=["one-column", "whitespace-in-lemma"])
+def test_malformed_lemma_table(tmp_path, row):
     p = tmp_path / "bad.tsv"
-    p.write_text("justonecolumn\n", encoding="utf-8")
-    with pytest.raises(DataFormatError):
+    p.write_text(f"apples\tapple\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError) as exc:
         load_lemma_table(p)
+    assert exc.value.line == 2
 
 
 def test_lemma_table_chain_resolution(tmp_path):
@@ -59,15 +58,15 @@ def test_lemma_of_multiword(lemma_table):
 @given(st.text(max_size=80))
 def test_normalize_idempotent(lemma_table, stopwords, text):
     once = normalize(text, lemma_table, stopwords)
-    twice = normalize(" ".join(t.lemma for t in once), lemma_table, stopwords)
-    assert lemmas(twice) == lemmas(once)
+    twice = normalize(" ".join(once), lemma_table, stopwords)
+    assert twice == once
 
 
 @given(st.text(max_size=80))
 def test_lemma_invariants(lemma_table, stopwords, text):
-    for t in normalize(text, lemma_table, stopwords):
-        assert t.lemma
-        assert not any(c.isspace() for c in t.lemma)
+    for lemma in normalize(text, lemma_table, stopwords):
+        assert lemma
+        assert not any(c.isspace() for c in lemma)
 
 
 def test_stopword_loader(tmp_path):

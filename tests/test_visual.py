@@ -78,7 +78,7 @@ def test_oracle_equivalence(visual_store, data_dir, lemma_table, stopwords):
     from discrimattr.text import lemma_of, normalize
 
     raw = [json.loads(l) for l in
-           (data_dir / "scene_regions.jsonl").read_text().splitlines() if l]
+           (data_dir / "scene_regions.jsonl").read_text(encoding="utf-8").splitlines() if l]
     attrs = {a for _, a in pairs_of(visual_store)}
     objects = {o for o, _ in pairs_of(visual_store)}
     for o in objects:
@@ -87,7 +87,7 @@ def test_oracle_equivalence(visual_store, data_dir, lemma_table, stopwords):
                 (str(r["image"]), str(r["region"]))
                 for r in raw
                 if lemma_of(r["object"], lemma_table) == o and any(
-                    a in [t.lemma for t in normalize(attr, lemma_table, stopwords)]
+                    a in normalize(attr, lemma_table, stopwords)
                     for attr in r["attributes"]
                 )
             }
@@ -96,7 +96,8 @@ def test_oracle_equivalence(visual_store, data_dir, lemma_table, stopwords):
 
 def test_evidence_groundedness(visual_store, data_dir):
     raw = {(str(r["image"]), str(r["region"]))
-           for r in map(json.loads, (data_dir / "scene_regions.jsonl").read_text().splitlines())}
+           for r in map(json.loads, (data_dir / "scene_regions.jsonl")
+                        .read_text(encoding="utf-8").splitlines())}
     res = visual_store.has_property(term("cat"), term("whiskers", "whisker"))
     assert {tuple(r) for r in res.evidence[0].regions} <= raw
 
@@ -205,7 +206,7 @@ def test_repeated_attribute_lemma_counts_region_once(tmp_path):
         {"image": "9", "region": "1", "object": "cat", "attributes": ["black"]},
         {"image": "1", "region": "5", "object": "cat", "attributes": ["black cats"]},
     ]
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     store = load_scene_graphs([path], {"cats": "cat"}, set())
     assert store.oa_index["cat\tblack"] == [["1", "5"], ["9", "1"], ["9", "2"]]
     for regions in store.oa_index.values():
