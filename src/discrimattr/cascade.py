@@ -8,8 +8,7 @@ which component explains it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .commonsense import CkgStore, EdgeEvidence
 from .definitions import DEFAULT_MAX_DEPTH, DefinitionEvidence, DefinitionStore
@@ -18,8 +17,7 @@ from .types import COMPONENTS, MembershipResult, Triple
 from .visual import RegionEvidence, VisualStore
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(NamedTuple):
     kind: str  # the deciding stage's kind: "intensional" or "extensional"
     template_id: str
     pivot_evidence: tuple
@@ -36,17 +34,10 @@ class Explanation:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Verdict(NamedTuple):
     discriminative: bool
     deciding_component: str | None = None
     explanation: Explanation | None = None
-
-    def __post_init__(self):
-        if self.discriminative != (
-            self.deciding_component is not None and self.explanation is not None
-        ):
-            raise ValueError("positive verdicts need a component and explanation; negatives neither")
 
     def to_dict(self, triple: Triple | None = None):
         d = {
@@ -64,27 +55,41 @@ class Verdict:
         return d
 
 
-@dataclass(frozen=True)
-class CascadeConfig:
+# a NamedTuple's body may not define __new__, so the checked types subclass one
+class Verdict(_Verdict):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.discriminative != (None not in (self.deciding_component, self.explanation)):
+            raise ValueError("positive verdicts need a component and explanation; negatives neither")
+        return self
+
+
+class _CascadeConfig(NamedTuple):
     stage_order: tuple = COMPONENTS
     dbm_max_depth: int = DEFAULT_MAX_DEPTH
     vfm_min_count: int = 1
     vfm_use_sor: bool = False
 
-    def __post_init__(self):
+
+class CascadeConfig(_CascadeConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if sorted(self.stage_order) != sorted(COMPONENTS):
             raise ValueError(f"stage_order must be a permutation of {COMPONENTS}")
+        return self
 
 
-@dataclass(frozen=True)
-class StoreSet:
+class StoreSet(NamedTuple):
     definitions: DefinitionStore
     commonsense: CkgStore
     visual: VisualStore
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One knowledge component: its membership query, its evidence type and
     the template that explains a verdict it decides."""
 

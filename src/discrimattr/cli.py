@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from . import cascade, commonsense, definitions, evaluation, text, visual
+# `hashlib` and `evaluation` load in the commands that use them: `explain` needs neither
+from . import cascade, commonsense, definitions, text, visual
 from .cascade import STAGES, CascadeConfig, StoreSet, classify_batch, render_explanation
 from .commonsense import CkgStore
-from .definitions import DEFAULT_MAX_DEPTH
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
 from .index import FORMAT_VERSION, atomic_open, dump_json, load_json
 from .text import lemma_of
@@ -38,22 +36,19 @@ STORE_FILES = {
 _PATH_KEYS = ("definitions", "assertions", "lemma_table", "stopwords", "gold", "annotations")
 
 
-@dataclass
 class RunConfig:
-    definitions: str | None = None
-    scene_graphs: list[str] = field(default_factory=list)
-    assertions: str | None = None
-    lemma_table: str | None = None
-    stopwords: str | None = None
-    gold: str | None = None
-    annotations: str | None = None
-    output_dir: str = "out"
-    language: str = "en"
-    stage_order: list[str] = field(default_factory=lambda: list(COMPONENTS))
-    dbm_max_depth: int = DEFAULT_MAX_DEPTH
-    vfm_min_count: int = CascadeConfig.vfm_min_count
-    vfm_use_sor: bool = CascadeConfig.vfm_use_sor
-    verbose: bool = False
+    def __init__(self):
+        self.definitions = self.assertions = self.lemma_table = self.stopwords = None
+        self.gold = self.annotations = None
+        self.scene_graphs = []
+        self.output_dir = "out"
+        self.language = "en"
+        defaults = CascadeConfig._field_defaults
+        self.stage_order = list(defaults["stage_order"])
+        self.dbm_max_depth = defaults["dbm_max_depth"]
+        self.vfm_min_count = defaults["vfm_min_count"]
+        self.vfm_use_sor = defaults["vfm_use_sor"]
+        self.verbose = False
 
     def cascade_config(self) -> CascadeConfig:
         return CascadeConfig(
@@ -64,9 +59,8 @@ class RunConfig:
         )
 
     def to_dict(self):
-        d = asdict(self)
-        del d["verbose"]  # a per-run switch: not in config files or the manifest
-        return d
+        # `verbose` is a per-run switch: not in config files or the manifest
+        return {k: v for k, v in vars(self).items() if k != "verbose"}
 
     def input_paths(self):
         paths = {}
@@ -149,11 +143,17 @@ def _validate_inputs(cfg):
             raise ConfigError(f"input path for {name!r} does not exist: {path}")
 
 
+def _lemma_table_file(cfg, read):
+    """`read(path)` of the lemma table in effect: the configured one, else the bundled one."""
+    return read(cfg.lemma_table) if cfg.lemma_table else text.bundled(text.DEFAULT_LEMMA_TABLE, read)
+
+
 def _load_lemma_table(cfg):
-    return text.load_lemma_table(cfg.lemma_table) if cfg.lemma_table else text.default_lemma_table()
+    return _lemma_table_file(cfg, text.load_lemma_table)
 
 
 def _sha256(path):
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -165,6 +165,7 @@ def _manifest(cfg):
     return {
         "index_format": FORMAT_VERSION,
         "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in cfg.input_paths().items()},
+        "lemma_table_sha256": _lemma_table_file(cfg, _sha256),
         "config": cfg.to_dict(),
     }
 
@@ -218,6 +219,7 @@ def _check_manifest(cfg, out):
         manifest = load_json(manifest_path)
         index_format = manifest.get("index_format", 1)  # formats before 2 did not record it
         inputs = [(name, str(e["path"]), e["sha256"]) for name, e in manifest["inputs"].items()]
+        lemma_table_sha256 = manifest.get("lemma_table_sha256")
     if index_format != FORMAT_VERSION:
         raise DataFormatError(f"indexes built in index format {index_format}, this version reads "
                               f"{FORMAT_VERSION}; rebuild the indexes", path=str(manifest_path))
@@ -225,6 +227,11 @@ def _check_manifest(cfg, out):
         if not Path(path).exists() or _sha256(path) != digest:
             raise DataFormatError(f"input {name!r} changed since build; rebuild the indexes",
                                   path=path)
+    # the indexes hold the build's lemmas, so a query must lemmatize with its table
+    if _lemma_table_file(cfg, _sha256) != lemma_table_sha256:
+        table = cfg.lemma_table or f"{text.DEFAULT_LEMMA_TABLE} (bundled)"
+        raise DataFormatError(f"lemma table {table} is not the one the indexes were built with; "
+                              "give that table or rebuild the indexes")
     return manifest
 
 
@@ -260,6 +267,7 @@ def _term(surface, lemma_table):
 
 
 def _read_triples_file(path, lemma_table):
+    from .evaluation import row_terms
     triples = []
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
@@ -269,7 +277,7 @@ def _read_triples_file(path, lemma_table):
                 continue
             if len(row) < 3:
                 raise DataFormatError("expected at least 3 columns", path=path, line=lineno)
-            triples.append(Triple(*evaluation.row_terms(row, lemma_table, path, lineno)))
+            triples.append(Triple(*row_terms(row, lemma_table, path, lineno)))
     return triples
 
 
@@ -342,6 +350,7 @@ def cmd_explain(cfg, triple_args) -> int:
 
 
 def cmd_evaluate(cfg) -> int:
+    from . import evaluation
     if not cfg.gold:
         raise ConfigError("evaluate requires a gold file (config key 'gold' or --gold)")
     stores = _load_stores(cfg)
@@ -375,6 +384,7 @@ def cmd_evaluate(cfg) -> int:
 
 
 def cmd_report(cfg) -> int:
+    from . import evaluation
     path = Path(cfg.output_dir) / "report.json"
     if not path.exists():
         raise DataFormatError("no report.json; run `discrimattr evaluate` first", path=str(path))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataFormatError
 from .index import layout
@@ -17,8 +17,7 @@ from .text import lemma_of
 from .types import MembershipResult, Term
 
 
-@dataclass(frozen=True, order=True)
-class EdgeEvidence:
+class EdgeEvidence(NamedTuple):
     """An assertion linking the queried lemmas; "forward" when the term is
     its start, "reverse" when the term is its end. Evidence sorts in
     assertion order."""

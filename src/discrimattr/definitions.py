@@ -9,7 +9,7 @@ reloaded from its index keeps the build-time vocabulary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataFormatError
 from .index import ExplicitVectorSpace, layout
@@ -29,8 +29,7 @@ SEMANTIC_ROLES = (
 DEFAULT_MAX_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class DefinitionEvidence:
+class DefinitionEvidence(NamedTuple):
     """A segment that contains the queried attribute, with the supertype
     path from the queried term down to the defining term."""
 

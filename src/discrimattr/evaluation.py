@@ -10,7 +10,7 @@ import csv
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataFormatError
 from .text import lemma_of
@@ -21,8 +21,7 @@ from .types import CATEGORIES, COMPONENTS, Term, Triple
 OVERLAP_GROUPS = (*itertools.combinations(COMPONENTS, 2), COMPONENTS)
 
 
-@dataclass
-class GoldDataset:
+class GoldDataset(NamedTuple):
     triples: list[Triple]
     source: str = ""
 

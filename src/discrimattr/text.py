@@ -12,6 +12,7 @@ from importlib import resources
 from .errors import DataFormatError
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
+DEFAULT_LEMMA_TABLE = "lemmas.tsv"  # the bundled table, in the package's data files
 
 
 def tokenize(text: str) -> list[str]:
@@ -23,8 +24,10 @@ def load_lemma_table(path) -> dict[str, str]:
     """Load a two-column tab-separated surface→lemma table.
 
     Chains (a→b, b→c) are resolved at load time so lemmatization is
-    idempotent; cycles are broken at the first repeated entry. A lemma with
-    whitespace in it is rejected, so every lemma is one token of a store key.
+    idempotent; cycles are broken at the first repeated entry. A surface
+    that is not one token is rejected, since no token could match it, and so
+    is a lemma with whitespace in it, so every lemma is one token of a store
+    key.
     """
     table = {}
     with open(path, encoding="utf-8") as fh:
@@ -35,6 +38,8 @@ def load_lemma_table(path) -> dict[str, str]:
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0] or not parts[1]:
                 raise DataFormatError("expected `surface<TAB>lemma`", path=path, line=lineno)
+            if tokenize(parts[0]) != [parts[0].lower()]:
+                raise DataFormatError(f"surface {parts[0]!r} is not one token", path=path, line=lineno)
             if any(c.isspace() for c in parts[1]):
                 raise DataFormatError(f"lemma {parts[1]!r} contains whitespace", path=path, line=lineno)
             table[parts[0].lower()] = parts[1].lower()
@@ -59,14 +64,14 @@ def load_stopwords(path) -> set[str]:
         return {line.strip().lower() for line in fh if line.strip() and not line.startswith("#")}
 
 
-def default_lemma_table() -> dict[str, str]:
-    with resources.as_file(resources.files("discrimattr.data") / "lemmas.tsv") as p:
-        return load_lemma_table(p)
+def bundled(name, read):
+    """`read(path)` of the package's data file `name`, such as `DEFAULT_LEMMA_TABLE`."""
+    with resources.as_file(resources.files("discrimattr.data") / name) as p:
+        return read(p)
 
 
 def default_stopwords() -> set[str]:
-    with resources.as_file(resources.files("discrimattr.data") / "stopwords.txt") as p:
-        return load_stopwords(p)
+    return bundled("stopwords.txt", load_stopwords)
 
 
 def normalize(text: str, lemma_table: dict[str, str], stopwords: set[str]) -> list[str]:

@@ -1,7 +1,7 @@
 """Shared domain types: terms, query triples, membership results."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # The six attribute categories, organized as three dual pairs.
 CATEGORIES = frozenset(
@@ -11,16 +11,14 @@ CATEGORIES = frozenset(
 COMPONENTS = ("DBM", "CKG", "VFM")
 
 
-@dataclass(frozen=True, order=True)
-class Term:
+class Term(NamedTuple):
     """A surface form paired with its normalized lemma."""
 
     surface: str
     lemma: str
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """A query unit (pivot, comparison, attribute), optionally gold-labeled."""
 
     pivot: Term
@@ -32,12 +30,11 @@ class Triple:
         return (self.pivot.lemma, self.comparison.lemma, self.attribute.lemma)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     """One component's answer to "does (attribute, term) hold?" plus evidence."""
 
     member: bool
-    evidence: tuple = field(default_factory=tuple)
+    evidence: tuple = ()
 
     def __bool__(self):
         return self.member

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataFormatError
 from .index import layout
@@ -23,8 +23,7 @@ from .types import MembershipResult, Term
 _VIA_KEYS = ("image", "subject", "predicate", "object")
 
 
-@dataclass(frozen=True)
-class RegionEvidence:
+class RegionEvidence(NamedTuple):
     """Grounding for a positive OA answer: the co-occurrence regions, plus
     the mediating relationship when the attribute was inherited. Both are
     read from the store as they are held there."""

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import discrimattr
 from discrimattr.cli import _read_triples_file, _write_verdicts, load_config, main
 from discrimattr.errors import ConfigError
 from discrimattr.text import load_lemma_table
@@ -115,12 +119,20 @@ def test_vocabulary_is_fixed_at_build(tmp_path, capsys):
     build_cfg.write_text(json.dumps({"definitions": str(defs), "lemma_table": str(table),
                                      "output_dir": str(out)}), encoding="utf-8")
     assert main(["build", "--config", str(build_cfg)]) == 0
-    # classify under the package's default lemma table, which maps whiskers to
-    # whisker: the index still holds the build-time lemma
+    # the package's default lemma table maps whiskers to whisker, while the
+    # index holds the build-time lemma hair: classify and evaluate refuse it
+    gold = tmp_path / "gold.csv"
+    gold.write_text("cat,lion,hair,1\n", encoding="utf-8")
     cfg = tmp_path / "classify.json"
-    cfg.write_text(json.dumps({"output_dir": str(out)}), encoding="utf-8")
+    cfg.write_text(json.dumps({"output_dir": str(out), "gold": str(gold)}), encoding="utf-8")
     capsys.readouterr()
-    assert main(["classify", "--config", str(cfg), "cat", "lion", "hair"]) == 0
+    assert main(["classify", "--config", str(cfg), "cat", "lion", "hair"]) == 2
+    assert "lemmas.tsv (bundled)" in capsys.readouterr().err
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert "lemmas.tsv (bundled)" in capsys.readouterr().err
+    # under the build's table the query lemmatizes as the index does
+    assert main(["classify", "--config", str(cfg), "--lemma-table", str(table),
+                 "cat", "lion", "hair"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "cat,lion,hair,1"
     verdict = json.loads((out / "verdicts.jsonl").read_text(encoding="utf-8"))
     assert verdict["deciding_component"] == "DBM"
@@ -180,10 +192,11 @@ def _index_format(number):
 
 
 @pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index,
-                                     _index_format(2), _index_format(3), _index_of_another_layout],
+                                     _index_format(2), _index_format(3), _index_format(4),
+                                     _index_of_another_layout],
                          ids=["manifest-without-index-format", "truncated-index",
                               "manifest-index-format-2", "manifest-index-format-3",
-                              "index-of-another-layout"])
+                              "manifest-index-format-4", "index-of-another-layout"])
 def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
     cfg, out = built
     path = corrupt(out)
@@ -463,3 +476,15 @@ def test_env_var_data_dir(tmp_path, monkeypatch, capsys):
 
 def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def test_cli_import_skips_what_only_some_commands_use():
+    # no timing gate: only which modules `import discrimattr.cli` adds
+    code = ("import sys; before = set(sys.modules); import discrimattr.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(discrimattr.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           encoding="utf-8", check=True).stdout.split()
+    assert "discrimattr.cli" in added
+    assert not {"dataclasses", "inspect", "hashlib", "discrimattr.evaluation"} & set(added)

@@ -32,8 +32,10 @@ def test_tokenize_splits_non_alphanumeric():
     assert tokenize("Light-Brown, metallic!") == ["light", "brown", "metallic"]
 
 
-@pytest.mark.parametrize("row", ["justonecolumn", "wines\tred wine"],
-                         ids=["one-column", "whitespace-in-lemma"])
+@pytest.mark.parametrize("row", ["justonecolumn", "wines\tred wine", "red wine\tclaret",
+                                 "Wine-s\twine"],
+                         ids=["one-column", "whitespace-in-lemma", "surface-of-two-tokens",
+                              "surface-with-hyphen"])
 def test_malformed_lemma_table(tmp_path, row):
     p = tmp_path / "bad.tsv"
     p.write_text(f"apples\tapple\n{row}\n", encoding="utf-8")

@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError
@@ -271,6 +271,9 @@ def _rejected(text, chunk_size):
         _streamed(text, chunk_size)
 
 
+# Every proper prefix is parsed, so an example's time grows with the square of
+# its text's length, and a long one can pass the default 200 ms deadline.
+@settings(deadline=None)
 @given(json_arrays, layouts, st.integers(1, 64))
 def test_malformed_arrays_rejected_like_json_loads(items, layout, chunk_size):
     text = json.dumps(items, **layout)
