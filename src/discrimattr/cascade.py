@@ -55,9 +55,11 @@ class _Verdict(NamedTuple):
         return d
 
 
-# a NamedTuple's body may not define __new__, so the checked types subclass one
+# a NamedTuple's body may not define __new__, so the checked types subclass one, and
+# point `_make`, which `_replace` calls, at the class so that it runs the check too
 class Verdict(_Verdict):
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -75,6 +77,7 @@ class _CascadeConfig(NamedTuple):
 
 class CascadeConfig(_CascadeConfig):
     __slots__ = ()
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -223,12 +223,16 @@ def _check_manifest(cfg, out):
     if index_format != FORMAT_VERSION:
         raise DataFormatError(f"indexes built in index format {index_format}, this version reads "
                               f"{FORMAT_VERSION}; rebuild the indexes", path=str(manifest_path))
+    hashed = {}
     for name, path, digest in inputs:
-        if not Path(path).exists() or _sha256(path) != digest:
+        if Path(path).exists():
+            hashed[path] = _sha256(path)
+        if hashed.get(path) != digest:
             raise DataFormatError(f"input {name!r} changed since build; rebuild the indexes",
                                   path=path)
-    # the indexes hold the build's lemmas, so a query must lemmatize with its table
-    if _lemma_table_file(cfg, _sha256) != lemma_table_sha256:
+    # the indexes hold the build's lemmas, so a query must lemmatize with its table,
+    # which, when configured, is most often an input just hashed
+    if (hashed.get(cfg.lemma_table) or _lemma_table_file(cfg, _sha256)) != lemma_table_sha256:
         table = cfg.lemma_table or f"{text.DEFAULT_LEMMA_TABLE} (bundled)"
         raise DataFormatError(f"lemma table {table} is not the one the indexes were built with; "
                               "give that table or rebuild the indexes")

@@ -7,7 +7,6 @@ through lowercased), then drop stopword lemmas.
 from __future__ import annotations
 
 import re
-from importlib import resources
 
 from .errors import DataFormatError
 
@@ -66,6 +65,7 @@ def load_stopwords(path) -> set[str]:
 
 def bundled(name, read):
     """`read(path)` of the package's data file `name`, such as `DEFAULT_LEMMA_TABLE`."""
+    from importlib import resources  # not at import: on 3.12+ it loads `inspect`
     with resources.as_file(resources.files("discrimattr.data") / name) as p:
         return read(p)
 

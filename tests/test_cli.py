@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import discrimattr
+from discrimattr import cli
 from discrimattr.cli import _read_triples_file, _write_verdicts, load_config, main
 from discrimattr.errors import ConfigError
 from discrimattr.text import load_lemma_table
@@ -108,7 +109,7 @@ def test_semeval_csv_quotes_surfaces_with_commas(built, tmp_path, capsys):
     assert (out / "semeval.csv").read_text(encoding="utf-8").splitlines()[1] == "apple,banana,red,1"
 
 
-def test_vocabulary_is_fixed_at_build(tmp_path, capsys):
+def test_vocabulary_is_fixed_at_build(tmp_path, capsys, monkeypatch):
     defs = tmp_path / "defs.jsonl"
     defs.write_text(json.dumps({"term": "cat", "sense": "cat.n.01", "segments": [
         {"role": "differentia_quality", "text": "long whiskers"}]}) + "\n", encoding="utf-8")
@@ -137,6 +138,27 @@ def test_vocabulary_is_fixed_at_build(tmp_path, capsys):
     verdict = json.loads((out / "verdicts.jsonl").read_text(encoding="utf-8"))
     assert verdict["deciding_component"] == "DBM"
     assert verdict["explanation"]["pivot_evidence"][0]["text"] == "long whiskers"
+    # a table the build did not read counts by its contents, not by its path
+    copy, other = tmp_path / "copy.tsv", tmp_path / "other.tsv"
+    copy.write_bytes(table.read_bytes())
+    other.write_text("whiskers\tfur\n", encoding="utf-8")
+    assert main(["classify", "--config", str(cfg), "--lemma-table", str(copy),
+                 "cat", "lion", "hair"]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "--lemma-table", str(other),
+                 "cat", "lion", "hair"]) == 2
+    assert str(other) in capsys.readouterr().err
+    # the build's own table is one of its inputs, and is hashed once per command
+    hashed, sha256 = [], cli._sha256
+
+    def counting_sha256(path):
+        hashed.append(str(path))
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counting_sha256)
+    assert main(["classify", "--config", str(cfg), "--lemma-table", str(table),
+                 "cat", "lion", "hair"]) == 0
+    assert sorted(hashed) == sorted({str(defs), str(table)})
 
 
 def test_classify_without_build_exits_2(tmp_path, capsys):

@@ -50,6 +50,17 @@ def test_repr_names_the_type_and_its_fields():
 def test_verdict_has_component_and_explanation_exactly_when_positive(args):
     with pytest.raises(ValueError):
         Verdict(*args)
+    with pytest.raises(ValueError):
+        Verdict._make(args + (None,) * (3 - len(args)))
+
+
+def test_replace_runs_the_checks():
+    with pytest.raises(ValueError):
+        Verdict(True, "CKG", EXPLANATION)._replace(explanation=None)
+    with pytest.raises(ValueError):
+        CascadeConfig()._replace(stage_order=("DBM",))
+    assert CascadeConfig()._replace(vfm_use_sor=True) == CascadeConfig(vfm_use_sor=True)
+    assert type(Verdict(False)._replace()) is Verdict
 
 
 @pytest.mark.parametrize("stage_order", [("DBM", "DBM", "VFM"), ("DBM", "CKG"), ()])
