@@ -20,7 +20,7 @@ from pathlib import Path
 from . import cascade, commonsense, definitions, text, visual
 from .cascade import STAGES, CascadeConfig, StoreSet, classify_batch, render_explanation
 from .commonsense import CkgStore
-from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
+from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError, open_text
 from .index import FORMAT_VERSION, atomic_open, dump_json, load_json
 from .text import lemma_of
 from .types import COMPONENTS, Term, Triple
@@ -96,8 +96,8 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raw = load_json(path)
         except OSError as e:
             raise ConfigError(f"cannot read config: {e}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}")
+        except ValueError as e:  # also a file that is not UTF-8
+            raise ConfigError(f"config {path} is not valid JSON: {e}")
         if type(raw) is not dict:
             raise ConfigError("config must be a JSON object")
         unknown = set(raw) - set(cfg.to_dict())
@@ -270,19 +270,10 @@ def _term(surface, lemma_table):
         raise ConfigError(f"invalid term: {e}")
 
 
-def _read_triples_file(path, lemma_table):
-    from .evaluation import row_terms
-    triples = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            if lineno == 1 and row[0].strip().lower() == "pivot":
-                continue
-            if len(row) < 3:
-                raise DataFormatError("expected at least 3 columns", path=path, line=lineno)
-            triples.append(Triple(*row_terms(row, lemma_table, path, lineno)))
-    return triples
+def _semeval_row(triple, verdict):
+    """The `pivot,comparison,attribute,label` row of `semeval.csv` and of classify's stdout."""
+    return [triple.pivot.surface, triple.comparison.surface, triple.attribute.surface,
+            1 if verdict.discriminative else 0]
 
 
 def _write_verdicts(results, out):
@@ -293,8 +284,7 @@ def _write_verdicts(results, out):
     with atomic_open(out / "semeval.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for triple, verdict in results:
-            writer.writerow([triple.pivot.surface, triple.comparison.surface,
-                             triple.attribute.surface, 1 if verdict.discriminative else 0])
+            writer.writerow(_semeval_row(triple, verdict))
 
 
 def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
@@ -303,7 +293,8 @@ def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
     if triple_args:
         triples = [Triple(*(_term(a, lemma_table) for a in triple_args))]
     elif triples_file:
-        triples = _read_triples_file(triples_file, lemma_table)
+        from .evaluation import read_triples
+        triples = [triple for _, _, triple in read_triples(triples_file, lemma_table)]
     else:
         raise ConfigError("provide a triple (pivot comparison attribute) or --triples-file")
     config = cfg.cascade_config()
@@ -312,8 +303,7 @@ def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
     _write_verdicts(results, out)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for triple, verdict in results:
-        writer.writerow([triple.pivot.surface, triple.comparison.surface,
-                         triple.attribute.surface, 1 if verdict.discriminative else 0])
+        writer.writerow(_semeval_row(triple, verdict))
         if verdict.discriminative and cfg.verbose:
             print(f"  [{verdict.deciding_component}] {verdict.explanation.rendered_text}")
         elif verdict.discriminative:
@@ -329,27 +319,30 @@ def cmd_explain(cfg, triple_args) -> int:
     path = Path(cfg.output_dir) / "verdicts.jsonl"
     if not path.exists():
         raise DataFormatError("no stored verdicts; run `discrimattr classify` first", path=str(path))
-    with open(path, encoding="utf-8") as fh:
+    print(_stored_explanation(path, triple))
+    return 0
+
+
+def _stored_explanation(path, triple):
+    """The explanation re-rendered from the triple's verdict in `verdicts.jsonl`."""
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 rec = json.loads(line)
                 if (rec["pivot"], rec["comparison"], rec["attribute"]) != triple.key():
                     continue
                 if not rec["label"]:
-                    print("not discriminative: no explanation")
-                    return 0
+                    return "not discriminative: no explanation"
                 stage = STAGES[rec["deciding_component"]]
                 explanation = rec["explanation"]
                 if explanation["template_id"] != stage.template_id:
                     raise KeyError(explanation["template_id"])
                 evidence = tuple(stage.evidence_type.from_dict(e)
                                  for e in explanation["pivot_evidence"])
-                rendered = render_explanation(triple, stage.name, evidence)
+                return render_explanation(triple, stage.name, evidence)
             except (ValueError, KeyError, TypeError, EvidenceError) as e:
                 raise DataFormatError(f"malformed stored verdict: {type(e).__name__}: {e}",
                                       path=str(path), line=lineno)
-            print(rendered)
-            return 0
     raise DataFormatError(f"no stored verdict for {triple.key()}", path=str(path))
 
 
@@ -369,13 +362,9 @@ def cmd_evaluate(cfg) -> int:
                 f"notice: annotation file {cfg.annotations} not found; "
                 "category tables skipped", file=sys.stderr,
             )
-    results, bitmaps = classify_batch(gold.triples, stores, cfg.cascade_config())
-    keys = [t.key() for t in gold.triples]
-    combined = {k: v.discriminative for k, (_, v) in zip(keys, results)}
-    component_preds = {
-        name: dict(zip(keys, bits)) for name, bits in bitmaps.items()
-    }
-    report = evaluation.build_report(component_preds, combined, gold, annotations)
+    results, bitmaps = classify_batch(gold, stores, cfg.cascade_config())
+    combined = [verdict.discriminative for _, verdict in results]
+    report = evaluation.build_report(bitmaps, combined, gold, annotations)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_verdicts(results, out)
@@ -409,6 +398,7 @@ def _add_common(parser):
     parser.add_argument("--lemma-table", dest="lemma_table")
     parser.add_argument("--stopwords", dest="stopwords")
     parser.add_argument("--stage-order", dest="stage_order",
+                        type=lambda value: [s.strip() for s in value.split(",")],
                         help="comma-separated permutation of DBM,CKG,VFM")
     parser.add_argument("--dbm-max-depth", dest="dbm_max_depth", type=int)
     parser.add_argument("--vfm-min-count", dest="vfm_min_count", type=int)
@@ -448,20 +438,12 @@ def build_parser():
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "output_dir", "lemma_table", "stopwords", "dbm_max_depth", "vfm_min_count",
-    "vfm_use_sor", "verbose", "definitions", "scene_graphs", "assertions",
-    "language", "gold", "annotations",
-)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-        if getattr(args, "stage_order", None):
-            overrides["stage_order"] = [s.strip() for s in args.stage_order.split(",")]
-        cfg = load_config(args.config, overrides)
+        # every flag whose destination is a setting overrides it
+        settings = vars(RunConfig())
+        cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in settings})
         if args.command == "build":
             return cmd_build(cfg)
         if args.command == "classify":

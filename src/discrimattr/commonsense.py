@@ -11,7 +11,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .errors import DataFormatError
+from .errors import open_text
 from .index import layout
 from .text import lemma_of
 from .types import MembershipResult, Term
@@ -96,11 +96,7 @@ def load_assertions(path, lemma_table, language_filter="en") -> CkgStore:
     """
     assertions = set()
     skipped = 0
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as e:
-        raise DataFormatError(f"cannot read assertion dump: {e}", path=path)
-    with fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 from .index import ExplicitVectorSpace, layout
 from .text import lemma_of, normalize
 from .types import MembershipResult, Term
@@ -147,7 +147,7 @@ def _is_segment(seg):
 def load_definitions(path, lemma_table, stopwords) -> DefinitionStore:
     """Load a role-annotated JSON-lines definition file."""
     raw = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

@@ -1,4 +1,5 @@
 """Exception hierarchy shared across the package."""
+from contextlib import contextmanager
 
 
 class DiscrimAttrError(Exception):
@@ -22,6 +23,18 @@ class DataFormatError(DiscrimAttrError):
                 prefix += f"{line}:"
             prefix += " "
         super().__init__(prefix + message)
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """`path` read as UTF-8 text; a file that cannot be opened or decoded is a
+    `DataFormatError` naming it. Keep the block to reading: any `OSError` in it
+    is reported as this file's."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataFormatError(f"cannot read: {e}", path=str(path))
 
 
 class EmptyCorpusError(DataFormatError):

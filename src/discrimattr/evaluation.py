@@ -1,8 +1,11 @@
 """Evaluation harness: macro F1, per-category recall, component overlap,
 and error breakdowns over a gold standard of labeled triples.
 
-Gold file: CSV `pivot,comparison,attribute,label` with label in {0,1}.
-Category annotations: CSV `pivot,comparison,attribute,category[;category...]`.
+Every triple file is a CSV whose first three cells are the pivot,
+comparison and attribute, after an optional `pivot,comparison,attribute`
+header. Gold: `pivot,comparison,attribute,label` with label in {0,1}.
+Category annotations: `pivot,comparison,attribute,category[;category...]`.
+Predictions are lists of bools in gold order.
 """
 from __future__ import annotations
 
@@ -10,101 +13,75 @@ import csv
 import functools
 import itertools
 import operator
-from typing import NamedTuple
 
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 from .text import lemma_of
 from .types import CATEGORIES, COMPONENTS, Term, Triple
 
 # the components whose TP/FP intersections the overlap rows report: each
 # pair, then all of them
 OVERLAP_GROUPS = (*itertools.combinations(COMPONENTS, 2), COMPONENTS)
+HEADER = ["pivot", "comparison", "attribute"]
 
 
-class GoldDataset(NamedTuple):
-    triples: list[Triple]
-    source: str = ""
+def read_triples(path, lemma_table, columns=None):
+    """(line number, row, unlabeled `Triple`) of each row of a triple CSV, whose
+    rows have exactly `columns` cells, or at least 3 when `columns` is None."""
+    with open_text(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), 1):
+            if not row or lineno == 1 and [c.strip().lower() for c in row[:3]] == HEADER:
+                continue
+            if len(row) < 3 or columns and len(row) != columns:
+                raise DataFormatError(f"expected {columns or 'at least 3'} columns",
+                                      path=path, line=lineno)
+            try:
+                terms = [Term(s, lemma_of(s, lemma_table)) for s in map(str.strip, row[:3])]
+            except ValueError as e:
+                raise DataFormatError(f"invalid term: {e}", path=path, line=lineno)
+            yield lineno, row, Triple(*terms)
 
-    def keys(self):
-        return [t.key() for t in self.triples]
 
-
-def row_terms(row, lemma_table, path, lineno):
-    """The pivot, comparison and attribute `Term`s of a CSV row."""
-    surfaces = [s.strip() for s in row[:3]]
-    try:
-        return tuple(Term(s, lemma_of(s, lemma_table)) for s in surfaces)
-    except ValueError as e:
-        raise DataFormatError(f"invalid term: {e}", path=path, line=lineno)
-
-
-def load_gold(path, lemma_table) -> GoldDataset:
+def load_gold(path, lemma_table) -> list[Triple]:
     """Load and validate the gold CSV; identical duplicate rows collapse,
     conflicting duplicates are an error, an empty gold set is an error."""
-    triples = []
+    gold = []
     seen = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            if lineno == 1 and [c.strip().lower() for c in row] == [
-                "pivot", "comparison", "attribute", "label",
-            ]:
-                continue
-            if len(row) != 4:
-                raise DataFormatError("expected 4 columns", path=path, line=lineno)
-            if row[3].strip() not in ("0", "1"):
-                raise DataFormatError(f"label must be 0 or 1, got {row[3]!r}", path=path, line=lineno)
-            pivot, comparison, attribute = row_terms(row, lemma_table, path, lineno)
-            label = row[3].strip() == "1"
-            key = (pivot.lemma, comparison.lemma, attribute.lemma)
-            if key in seen:
-                if seen[key] != label:
-                    raise DataFormatError(
-                        f"conflicting duplicate labels for {key}", path=path, line=lineno
-                    )
-                continue
-            seen[key] = label
-            triples.append(Triple(pivot, comparison, attribute, gold_label=label))
-    if not triples:
+    for lineno, row, triple in read_triples(path, lemma_table, 4):
+        if row[3].strip() not in ("0", "1"):
+            raise DataFormatError(f"label must be 0 or 1, got {row[3]!r}", path=path, line=lineno)
+        label = row[3].strip() == "1"
+        key = triple.key()
+        if key in seen:
+            if seen[key] != label:
+                raise DataFormatError(
+                    f"conflicting duplicate labels for {key}", path=path, line=lineno
+                )
+            continue
+        seen[key] = label
+        gold.append(Triple(*triple[:3], gold_label=label))
+    if not gold:
         raise DataFormatError("empty gold set", path=path)
-    return GoldDataset(triples=triples, source=str(path))
+    return gold
 
 
 def load_annotations(path, lemma_table) -> dict:
     """Load the category annotation CSV into key -> frozenset of categories."""
     annotations = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), 1):
-            if not row:
-                continue
-            if lineno == 1 and row[0].strip().lower() == "pivot":
-                continue
-            if len(row) != 4:
-                raise DataFormatError("expected 4 columns", path=path, line=lineno)
-            cats = frozenset(c.strip().lower() for c in row[3].split(";") if c.strip())
-            if not cats:
-                raise DataFormatError("empty category set", path=path, line=lineno)
-            unknown = cats - CATEGORIES
-            if unknown:
-                raise DataFormatError(f"unknown categories {sorted(unknown)}", path=path, line=lineno)
-            pivot, comparison, attribute = row_terms(row, lemma_table, path, lineno)
-            annotations[(pivot.lemma, comparison.lemma, attribute.lemma)] = cats
+    for lineno, row, triple in read_triples(path, lemma_table, 4):
+        cats = frozenset(c.strip().lower() for c in row[3].split(";") if c.strip())
+        if not cats:
+            raise DataFormatError("empty category set", path=path, line=lineno)
+        unknown = cats - CATEGORIES
+        if unknown:
+            raise DataFormatError(f"unknown categories {sorted(unknown)}", path=path, line=lineno)
+        annotations[triple.key()] = cats
     return annotations
 
 
-def _check_coverage(predictions, gold):
-    missing = [k for k in gold.keys() if k not in predictions]
-    if missing:
-        raise DataFormatError(f"predictions missing for {len(missing)} gold triples: {missing[:5]}")
-
-
-def confusion(predictions: dict, gold: GoldDataset) -> dict:
+def confusion(predictions: list, gold: list) -> dict:
     """Confusion-matrix counts {tp, fp, fn, tn}."""
-    _check_coverage(predictions, gold)
     counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
-    for t in gold.triples:
-        pred = predictions[t.key()]
+    for t, pred in zip(gold, predictions, strict=True):
         if pred and t.gold_label:
             counts["tp"] += 1
         elif pred and not t.gold_label:
@@ -137,34 +114,27 @@ def per_class_metrics(predictions, gold) -> dict:
     }
 
 
-def macro_f1(predictions: dict, gold: GoldDataset) -> float:
+def macro_f1(predictions: list, gold: list) -> float:
     """Unweighted mean of positive- and negative-class F1."""
     m = per_class_metrics(predictions, gold)
     return (m["positive"]["f1"] + m["negative"]["f1"]) / 2
 
 
-def per_category_recall(component_preds: dict, combined_preds: dict,
-                        gold: GoldDataset, annotations: dict) -> dict:
+def per_category_recall(component_preds: dict, combined_preds: list,
+                        gold: list, annotations: dict) -> dict:
     """Recall over positive gold triples per category, per component and
     combined, plus the relative gain of combined over the best component.
 
     Cells with no positive triples in a category are None (undefined).
     """
-    models = dict(component_preds)
-    models["combined"] = combined_preds
+    models = {**component_preds, "combined": combined_preds}
     categories = sorted(CATEGORIES)
+    positive_cats = [annotations.get(t.key(), ()) if t.gold_label else () for t in gold]
     table = {name: {} for name in models}
-    for cat in categories:
-        positives = [
-            t for t in gold.triples
-            if t.gold_label and cat in annotations.get(t.key(), ())
-        ]
-        for name, preds in models.items():
-            if not positives:
-                table[name][cat] = None
-            else:
-                hit = sum(1 for t in positives if preds[t.key()])
-                table[name][cat] = hit / len(positives)
+    for name, preds in models.items():
+        for cat in categories:
+            hits = [pred for pred, cats in zip(preds, positive_cats, strict=True) if cat in cats]
+            table[name][cat] = sum(hits) / len(hits) if hits else None
     gain = {}
     for cat in categories:
         best = max(
@@ -181,8 +151,11 @@ def per_category_recall(component_preds: dict, combined_preds: dict,
 
 
 def _tp_fp_sets(preds, gold):
-    tp = {t.key() for t in gold.triples if t.gold_label and preds[t.key()]}
-    fp = {t.key() for t in gold.triples if not t.gold_label and preds[t.key()]}
+    """The gold positions of the true and of the false positives."""
+    tp, fp = set(), set()
+    for i, (t, pred) in enumerate(zip(gold, preds, strict=True)):
+        if pred:
+            (tp if t.gold_label else fp).add(i)
     return tp, fp
 
 
@@ -203,8 +176,8 @@ def _overlap_row(sets_by_component, denominator):
     return row
 
 
-def overlap_analysis(component_preds: dict, combined_preds: dict,
-                     gold: GoldDataset, annotations: dict | None = None) -> dict:
+def overlap_analysis(component_preds: dict, combined_preds: list,
+                     gold: list, annotations: dict | None = None) -> dict:
     """Pairwise and three-way TP/FP intersections as fractions of the
     combined model's TPs (resp. FPs); optionally stratified by category."""
     comp_tp = {}
@@ -217,32 +190,30 @@ def overlap_analysis(component_preds: dict, combined_preds: dict,
         "false": _overlap_row(comp_fp, combined_fp),
     }
     if annotations is not None:
-        by_cat = {}
-        for cat in sorted(CATEGORIES):
-            keys = {k for k, cats in annotations.items() if cat in cats}
-            by_cat[cat] = _overlap_row(comp_tp, combined_tp & keys)
-        out["by_category"] = by_cat
+        tp_cats = {i: annotations.get(gold[i].key(), ()) for i in combined_tp}
+        out["by_category"] = {
+            cat: _overlap_row(comp_tp, {i for i, cats in tp_cats.items() if cat in cats})
+            for cat in sorted(CATEGORIES)
+        }
     return out
 
 
-def error_breakdown(models_preds: dict, gold: GoldDataset, sample_size: int = 10) -> dict:
+def error_breakdown(models_preds: dict, gold: list, sample_size: int = 10) -> dict:
     """Per model: FN/FP counts, FN share of total errors, error samples."""
     out = {}
     for name, preds in models_preds.items():
         c = confusion(preds, gold)
         errors = c["fn"] + c["fp"]
-        samples = []
-        for t in gold.triples:
-            pred = preds[t.key()]
-            if pred != t.gold_label and len(samples) < sample_size:
-                samples.append(
-                    {
-                        "triple": list(t.key()),
-                        "gold": int(t.gold_label),
-                        "predicted": int(pred),
-                        "type": "FN" if t.gold_label else "FP",
-                    }
-                )
+        wrong = ((t, pred) for t, pred in zip(gold, preds) if pred != t.gold_label)
+        samples = [
+            {
+                "triple": list(t.key()),
+                "gold": int(t.gold_label),
+                "predicted": int(pred),
+                "type": "FN" if t.gold_label else "FP",
+            }
+            for t, pred in itertools.islice(wrong, sample_size)
+        ]
         out[name] = {
             "fn": c["fn"],
             "fp": c["fp"],

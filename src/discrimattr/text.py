@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 DEFAULT_LEMMA_TABLE = "lemmas.tsv"  # the bundled table, in the package's data files
@@ -29,7 +29,7 @@ def load_lemma_table(path) -> dict[str, str]:
     key.
     """
     table = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -59,7 +59,7 @@ def _resolve_chains(table):
 
 def load_stopwords(path) -> set[str]:
     """Load a one-lemma-per-line stopword file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return {line.strip().lower() for line in fh if line.strip() and not line.startswith("#")}
 
 

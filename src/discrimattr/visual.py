@@ -15,7 +15,7 @@ import json
 import re
 from typing import NamedTuple
 
-from .errors import DataFormatError
+from .errors import DataFormatError, open_text
 from .index import layout
 from .text import lemma_of, normalize
 from .types import MembershipResult, Term
@@ -250,7 +250,7 @@ def _vg_name(node):
 
 
 def _load_one(path, builder):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         head = fh.read(1)
         fh.seek(0)
         if head == "[":
@@ -311,8 +311,6 @@ def load_scene_graphs(paths, lemma_table, stopwords) -> VisualStore:
     for path in paths:
         try:
             _load_one(path, builder)
-        except OSError as e:
-            raise DataFormatError(f"cannot read scene graph file: {e}", path=path)
         except json.JSONDecodeError as e:
             raise DataFormatError(f"invalid JSON: {e}", path=path)
     return builder.finish()

@@ -22,7 +22,7 @@ from discrimattr.types import COMPONENTS, Term
 
 from conftest import assertions_of, concepts_of, pairs_of, reload_definitions, term
 from test_cascade import random_stores, triple
-from test_evaluation import keyed, make_gold
+from test_evaluation import make_gold
 
 DATA = Path(__file__).parent / "data"
 
@@ -168,27 +168,27 @@ def test_criterion_3_metric_arithmetic():
     # matrix 1: all-positive predictor on a 50/50 set of 4
     gold = make_gold([("a", "b", "x", True), ("c", "d", "y", True),
                       ("e", "f", "z", False), ("g", "h", "w", False)])
-    assert macro_f1(keyed(gold, [True] * 4), gold) == pytest.approx(1 / 3)
+    assert macro_f1([True] * 4, gold) == pytest.approx(1 / 3)
 
     # matrix 2: TP=3 FP=1 FN=2 TN=4
     rows = ([("p", f"c{i}", "a", True) for i in range(5)]
             + [("p", f"n{i}", "a", False) for i in range(5)])
     gold2 = make_gold(rows)
-    preds2 = keyed(gold2, [True, True, True, False, False, True, False, False, False, False])
+    preds2 = [True, True, True, False, False, True, False, False, False, False]
     assert macro_f1(preds2, gold2) == pytest.approx((2 / 3 + 8 / 11) / 2)
 
     # matrix 3: perfect predictions
     gold3 = make_gold([("a", "b", "x", True), ("c", "d", "y", False)])
-    assert macro_f1(keyed(gold3, [True, False]), gold3) == 1.0
+    assert macro_f1([True, False], gold3) == 1.0
 
     # overlap fractions hand-verified
     gold4 = make_gold([(f"p{i}", f"c{i}", "a", True) for i in range(4)])
     comp = {
-        "DBM": keyed(gold4, [True, True, True, False]),
-        "CKG": keyed(gold4, [False, True, True, False]),
-        "VFM": keyed(gold4, [False, False, True, False]),
+        "DBM": [True, True, True, False],
+        "CKG": [False, True, True, False],
+        "VFM": [False, False, True, False],
     }
-    out = overlap_analysis(comp, keyed(gold4, [True] * 4), gold4)
+    out = overlap_analysis(comp, [True] * 4, gold4)
     assert out["true"]["DBM^CKG"] == 0.5
     assert out["true"]["DBM^VFM"] == 0.25
     assert out["true"]["CKG^VFM"] == 0.25

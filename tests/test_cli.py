@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import discrimattr
 from discrimattr import cli
-from discrimattr.cli import _read_triples_file, _write_verdicts, load_config, main
+from discrimattr.cli import _write_verdicts, load_config, main
 from discrimattr.errors import ConfigError
+from discrimattr.evaluation import load_annotations, load_gold, read_triples
 from discrimattr.text import load_lemma_table
 
 DATA = Path(__file__).parent / "data"
@@ -104,7 +105,8 @@ def test_semeval_csv_quotes_surfaces_with_commas(built, tmp_path, capsys):
                                       ["apple", "banana", "red", "1"]]
     with open(out / "semeval.csv", encoding="utf-8", newline="") as fh:
         assert [len(row) for row in csv.reader(fh)] == [4, 4]
-    triples = _read_triples_file(out / "semeval.csv", load_lemma_table(DATA / "lemmas.tsv"))
+    table = load_lemma_table(DATA / "lemmas.tsv")
+    triples = [t for _, _, t in read_triples(out / "semeval.csv", table)]
     assert [t.pivot.surface for t in triples] == ["big, red", "apple"]
     assert (out / "semeval.csv").read_text(encoding="utf-8").splitlines()[1] == "apple,banana,red,1"
 
@@ -431,7 +433,7 @@ def test_failed_verdict_write_keeps_old_files(built, tmp_path, capsys, failing, 
     assert main(["classify", "--config", str(cfg), "--triples-file", str(tf)]) == 0
     good = (out / failing).read_bytes()
     names = sorted(p.name for p in out.iterdir())
-    triple = _read_triples_file(tf, load_lemma_table(DATA / "lemmas.tsv"))[0]
+    triple = [t for _, _, t in read_triples(tf, load_lemma_table(DATA / "lemmas.tsv"))][0]
     with pytest.raises(RuntimeError):
         _write_verdicts([(triple, verdict)], out)
     assert (out / failing).read_bytes() == good
@@ -479,6 +481,90 @@ def test_bad_stage_order_exits_1(built, capsys):
     cfg, _ = built
     assert main(["classify", "--config", str(cfg), "--stage-order", "DBM,DBM,VFM",
                  "a", "b", "c"]) == 1
+
+
+def test_setting_flags_override_the_config(tmp_path, monkeypatch):
+    seen = []
+
+    def build(cfg):
+        seen.append(cfg)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_build", build)
+    cfg = write_config(tmp_path)
+    assert main(["build", "--config", str(cfg), "--output-dir", str(tmp_path / "o2"),
+                 "--stage-order", " VFM, CKG ,DBM", "--dbm-max-depth", "2",
+                 "--vfm-min-count", "3", "--vfm-use-sor", "--verbose", "--language", "de",
+                 "--scene-graphs", str(DATA / "vg_objects.json")]) == 0
+    got = seen[0]
+    assert got.output_dir == str(tmp_path / "o2")
+    assert got.cascade_config() == cli.CascadeConfig(stage_order=("VFM", "CKG", "DBM"),
+                                                     dbm_max_depth=2, vfm_min_count=3,
+                                                     vfm_use_sor=True)
+    assert (got.verbose, got.language) == (True, "de")
+    assert got.scene_graphs == [str(DATA / "vg_objects.json")]
+    assert got.definitions == str(DATA / "definitions.jsonl")  # not given as a flag
+
+
+# (command, the setting or file that cannot be read, how it is unreadable)
+BUILD_INPUTS = ("definitions", "assertions", "scene_graphs", "lemma_table", "stopwords")
+UNREADABLE = [
+    *(("build", key, form) for form in ("not-utf8", "directory") for key in BUILD_INPUTS),
+    *(("evaluate", key, form) for key in ("gold", "annotations")
+      for form in ("not-utf8", "directory")),
+    ("evaluate", "gold", "missing"),
+    *(("classify", "triples_file", form) for form in ("not-utf8", "directory", "missing")),
+    *(("explain", "verdicts.jsonl", form) for form in ("not-utf8", "directory")),
+    ("classify", "config", "not-utf8"),
+]
+
+
+@pytest.mark.parametrize("command,key,form", UNREADABLE, ids=map("-".join, UNREADABLE))
+def test_unreadable_input_exits_naming_it(built, tmp_path, capsys, command, key, form):
+    cfg, out = built
+    path = out / key if key == "verdicts.jsonl" else tmp_path / f"unreadable-{key}"
+    if form == "directory":
+        path.mkdir()
+    elif form == "not-utf8":
+        path.write_bytes(b"apple,banana,red,1\n\xff\xfe,moon,body,0\n")
+    args = [command, "--config", str(cfg)]
+    if key == "config":
+        args = [command, "--config", str(path), "a", "b", "c"]
+    elif key == "triples_file":
+        args += ["--triples-file", str(path)]
+    elif key == "verdicts.jsonl":
+        args += ["apple", "banana", "red"]
+    else:
+        value = [str(path)] if key == "scene_graphs" else str(path)
+        args[2] = str(write_config(tmp_path, name="unreadable.json", **{key: value}))
+    capsys.readouterr()
+    assert main(args) == (1 if key == "config" else 2)
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["", "pivot,comparison,attribute\n",
+                                    " Pivot,COMPARISON , attribute,label\n"],
+                         ids=["no-header", "header", "header-with-label"])
+def test_only_a_pivot_comparison_attribute_first_row_is_a_header(built, tmp_path, capsys,
+                                                                  header):
+    cfg, out = built
+    table = load_lemma_table(DATA / "lemmas.tsv")
+    rows = [("pivot", "whiskey", "wine", "0", "logical"),
+            ("apple", "banana", "red", "1", "sensory")]
+    triples, gold, annotations = (tmp_path / f"{name}.csv" for name in ("t", "g", "a"))
+    triples.write_text(header + "".join(f"{p},{c},{a}\n" for p, c, a, _, _ in rows),
+                       encoding="utf-8")
+    gold.write_text(header + "".join(f"{p},{c},{a},{g}\n" for p, c, a, g, _ in rows),
+                    encoding="utf-8")
+    annotations.write_text(header + "".join(f"{p},{c},{a},{k}\n" for p, c, a, _, k in rows),
+                           encoding="utf-8")
+    assert main(["classify", "--config", str(cfg), "--triples-file", str(triples)]) == 0
+    classified = (out / "semeval.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[:3] for line in classified] == [list(r[:3]) for r in rows]
+    assert [(t.key(), t.gold_label) for t in load_gold(gold, table)] == [
+        (("pivot", "whiskey", "wine"), False), (("apple", "banana", "red"), True)]
+    assert load_annotations(annotations, table) == {
+        ("pivot", "whiskey", "wine"): {"logical"}, ("apple", "banana", "red"): {"sensory"}}
 
 
 def test_env_var_data_dir(tmp_path, monkeypatch, capsys):

@@ -11,22 +11,13 @@ from conftest import term
 
 
 def make_gold(rows):
-    from discrimattr.evaluation import GoldDataset
-
-    triples = [
-        Triple(term(p), term(c), term(a), gold_label=label) for p, c, a, label in rows
-    ]
-    return GoldDataset(triples=triples)
-
-
-def keyed(gold, bits):
-    return {t.key(): b for t, b in zip(gold.triples, bits)}
+    return [Triple(term(p), term(c), term(a), gold_label=label) for p, c, a, label in rows]
 
 
 def test_load_gold(data_dir, lemma_table):
     gold = load_gold(data_dir / "gold.csv", lemma_table)
-    assert len(gold.triples) == 9
-    first = gold.triples[0]
+    assert len(gold) == 9
+    first = gold[0]
     assert first.key() == ("apple", "banana", "red")
     assert first.gold_label is True
 
@@ -49,7 +40,7 @@ def test_load_gold_conflicting_duplicates(tmp_path, lemma_table):
 def test_load_gold_identical_duplicates_collapse(tmp_path, lemma_table):
     p = tmp_path / "dup.csv"
     p.write_text("a,b,c,1\na,b,c,1\n", encoding="utf-8")
-    assert len(load_gold(p, lemma_table).triples) == 1
+    assert len(load_gold(p, lemma_table)) == 1
 
 
 def test_load_gold_empty_errors(tmp_path, lemma_table):
@@ -74,7 +65,7 @@ def test_load_annotations_unknown_category(tmp_path, lemma_table):
 
 def test_perfect_predictions():
     gold = make_gold([("a", "b", "c", True), ("d", "e", "f", False)])
-    preds = keyed(gold, [True, False])
+    preds = [True, False]
     assert macro_f1(preds, gold) == 1.0
 
 
@@ -85,7 +76,7 @@ def test_all_positive_predictor_macro_f1_one_third():
         ("a", "b", "x", True), ("c", "d", "y", True),
         ("e", "f", "z", False), ("g", "h", "w", False),
     ])
-    preds = keyed(gold, [True] * 4)
+    preds = [True] * 4
     assert macro_f1(preds, gold) == pytest.approx(1 / 3)
 
 
@@ -96,16 +87,18 @@ def test_hand_computed_matrix():
         + [("p", f"n{i}", "a", False) for i in range(5)]
     )
     gold = make_gold(rows)
-    preds = keyed(gold, [True, True, True, False, False, True, False, False, False, False])
+    preds = [True, True, True, False, False, True, False, False, False, False]
     c = confusion(preds, gold)
     assert (c["tp"], c["fp"], c["fn"], c["tn"]) == (3, 1, 2, 4)
     assert macro_f1(preds, gold) == pytest.approx((2 / 3 + 8 / 11) / 2)
 
 
 def test_missing_predictions_error():
-    gold = make_gold([("a", "b", "c", True)])
-    with pytest.raises(DataFormatError):
-        macro_f1({}, gold)
+    # predictions are scored in gold order, so their count must be the gold set's
+    gold = make_gold([("a", "b", "c", True), ("d", "e", "f", False)])
+    for preds in ([], [True], [True, False, True]):
+        with pytest.raises(ValueError):
+            macro_f1(preds, gold)
 
 
 def test_per_category_recall_and_gain():
@@ -118,11 +111,11 @@ def test_per_category_recall_and_gain():
         ("e", "f", "z"): {"relative"},
     }
     comp = {
-        "DBM": keyed(gold, [True, False, False]),
-        "CKG": keyed(gold, [False, True, False]),
-        "VFM": keyed(gold, [False, False, False]),
+        "DBM": [True, False, False],
+        "CKG": [False, True, False],
+        "VFM": [False, False, False],
     }
-    combined = keyed(gold, [True, True, False])
+    combined = [True, True, False]
     table = per_category_recall(comp, combined, gold, ann)
     assert table["DBM"]["sensory"] == 0.5
     assert table["CKG"]["sensory"] == 0.5
@@ -140,11 +133,11 @@ def test_single_component_category():
     gold = make_gold([("a", "b", "x", True)])
     ann = {("a", "b", "x"): {"absolute"}}
     comp = {
-        "DBM": keyed(gold, [True]),
-        "CKG": keyed(gold, [False]),
-        "VFM": keyed(gold, [False]),
+        "DBM": [True],
+        "CKG": [False],
+        "VFM": [False],
     }
-    table = per_category_recall(comp, keyed(gold, [True]), gold, ann)
+    table = per_category_recall(comp, [True], gold, ann)
     assert table["DBM"]["absolute"] == 1.0
     assert table["CKG"]["absolute"] == 0.0
     assert table["combined"]["absolute"] == 1.0
@@ -153,11 +146,11 @@ def test_single_component_category():
 def test_overlap_disjoint_components():
     gold = make_gold([("a", "b", "x", True), ("c", "d", "y", True)])
     comp = {
-        "DBM": keyed(gold, [True, False]),
-        "CKG": keyed(gold, [False, True]),
-        "VFM": keyed(gold, [False, False]),
+        "DBM": [True, False],
+        "CKG": [False, True],
+        "VFM": [False, False],
     }
-    combined = keyed(gold, [True, True])
+    combined = [True, True]
     out = overlap_analysis(comp, combined, gold)
     assert out["true"]["DBM^CKG"] == 0.0
     assert out["true"]["DBM^CKG^VFM"] == 0.0
@@ -166,7 +159,7 @@ def test_overlap_disjoint_components():
 
 def test_overlap_identical_components():
     gold = make_gold([("a", "b", "x", True), ("c", "d", "y", False)])
-    same = keyed(gold, [True, True])
+    same = [True, True]
     comp = {"DBM": same, "CKG": same, "VFM": same}
     out = overlap_analysis(comp, same, gold)
     for key in ("DBM^CKG", "DBM^VFM", "CKG^VFM", "DBM^CKG^VFM"):
@@ -178,11 +171,11 @@ def test_overlap_hand_computed():
     # combined TPs: {t1, t2, t3, t4}; DBM hits t1,t2,t3; CKG hits t2,t3; VFM hits t3
     gold = make_gold([(f"p{i}", f"c{i}", "a", True) for i in range(4)])
     comp = {
-        "DBM": keyed(gold, [True, True, True, False]),
-        "CKG": keyed(gold, [False, True, True, False]),
-        "VFM": keyed(gold, [False, False, True, False]),
+        "DBM": [True, True, True, False],
+        "CKG": [False, True, True, False],
+        "VFM": [False, False, True, False],
     }
-    combined = keyed(gold, [True, True, True, True])
+    combined = [True, True, True, True]
     out = overlap_analysis(comp, combined, gold)
     assert out["true"]["DBM^CKG"] == 0.5
     assert out["true"]["DBM^VFM"] == 0.25
@@ -198,15 +191,15 @@ def test_overlap_average_sums_left_to_right():
     # fractions 1/3, 1/3, 1, 1/3: a compensated sum gives 0.5, a left fold one ulp
     # less; report.json must print the same digits on every Python version
     gold = make_gold([(f"p{i}", f"c{i}", "a", True) for i in range(3)])
-    every = keyed(gold, [True, True, True])
-    comp = {"DBM": keyed(gold, [False, False, True]), "CKG": every, "VFM": every}
+    every = [True, True, True]
+    comp = {"DBM": [False, False, True], "CKG": every, "VFM": every}
     out = overlap_analysis(comp, every, gold)
     assert out["true"]["average"] == (1 / 3 + 1 / 3 + 1.0 + 1 / 3) / 4
 
 
 def test_overlap_zero_combined_tp_undefined():
     gold = make_gold([("a", "b", "x", True)])
-    none = keyed(gold, [False])
+    none = [False]
     out = overlap_analysis({"DBM": none, "CKG": none, "VFM": none}, none, gold)
     assert out["true"]["DBM^CKG"] is None
     assert out["true"]["average"] is None
@@ -214,7 +207,7 @@ def test_overlap_zero_combined_tp_undefined():
 
 def test_error_breakdown():
     gold = make_gold([("a", "b", "x", True), ("c", "d", "y", False)])
-    preds = keyed(gold, [False, True])  # 1 FN, 1 FP
+    preds = [False, True]  # 1 FN, 1 FP
     out = error_breakdown({"m": preds}, gold)
     assert out["m"]["fn"] == 1
     assert out["m"]["fp"] == 1
@@ -224,24 +217,24 @@ def test_error_breakdown():
 
 def test_error_breakdown_perfect_predictor_undefined():
     gold = make_gold([("a", "b", "x", True)])
-    out = error_breakdown({"m": keyed(gold, [True])}, gold)
+    out = error_breakdown({"m": [True]}, gold)
     assert out["m"]["fn_share"] is None
 
 
 def test_report_determinism(data_dir, lemma_table):
     gold = load_gold(data_dir / "gold.csv", lemma_table)
     ann = load_annotations(data_dir / "annotations.csv", lemma_table)
-    bits = [t.gold_label for t in gold.triples]
-    comp = {name: keyed(gold, bits) for name in ("DBM", "CKG", "VFM")}
-    r1 = build_report(comp, keyed(gold, bits), gold, ann)
-    r2 = build_report(comp, keyed(gold, bits), gold, ann)
+    bits = [t.gold_label for t in gold]
+    comp = {name: bits for name in ("DBM", "CKG", "VFM")}
+    r1 = build_report(comp, bits, gold, ann)
+    r2 = build_report(comp, bits, gold, ann)
     assert render_report(r1) == render_report(r2)
     assert r1 == r2
 
 
 def test_report_without_annotations_notes_skip():
     gold = make_gold([("a", "b", "x", True)])
-    preds = keyed(gold, [True])
+    preds = [True]
     comp = {name: preds for name in ("DBM", "CKG", "VFM")}
     report = build_report(comp, preds, gold, annotations=None)
     assert report["category_recall"] is None
@@ -258,13 +251,10 @@ def test_combined_recall_dominates_components(data_dir, lemma_table):
 
     rng = random.Random(5)
     comp = {
-        name: keyed(gold, [rng.random() < 0.4 for _ in gold.triples])
+        name: [rng.random() < 0.4 for _ in gold]
         for name in ("DBM", "CKG", "VFM")
     }
-    combined = {
-        k: comp["DBM"][k] or comp["CKG"][k] or comp["VFM"][k]
-        for k in comp["DBM"]
-    }
+    combined = [d or c or v for d, c, v in zip(comp["DBM"], comp["CKG"], comp["VFM"])]
     table = per_category_recall(comp, combined, gold, ann)
     for cat, value in table["combined"].items():
         for name in ("DBM", "CKG", "VFM"):

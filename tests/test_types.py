@@ -3,7 +3,6 @@ import pytest
 from discrimattr.cascade import STAGES, CascadeConfig, Explanation, StoreSet, Verdict
 from discrimattr.commonsense import EdgeEvidence
 from discrimattr.definitions import DefinitionEvidence
-from discrimattr.evaluation import GoldDataset
 from discrimattr.types import MembershipResult, Term, Triple
 from discrimattr.visual import RegionEvidence
 
@@ -21,7 +20,6 @@ VALUES = [
     DefinitionEvidence("cat", "cat.n.01", "supertype", "feline", ("cat",)),
     EdgeEvidence("HasA", "cat", "whisker", 1.0, "forward"),
     RegionEvidence("cat", "black", [[1, 2]]),
-    GoldDataset([]),
 ]
 
 
