@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 # `hashlib` and `evaluation` load in the commands that use them: `explain` needs neither
@@ -34,6 +35,7 @@ STORE_FILES = {
     "visual": "visual.index.json",
 }
 _PATH_KEYS = ("definitions", "assertions", "lemma_table", "stopwords", "gold", "annotations")
+_VERDICT_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # one, for every verdict
 
 
 class RunConfig:
@@ -225,7 +227,7 @@ def _check_manifest(cfg, out):
                               f"{FORMAT_VERSION}; rebuild the indexes", path=str(manifest_path))
     hashed = {}
     for name, path, digest in inputs:
-        if Path(path).exists():
+        with suppress(OSError):  # an input gone, or no longer a readable file, has changed
             hashed[path] = _sha256(path)
         if hashed.get(path) != digest:
             raise DataFormatError(f"input {name!r} changed since build; rebuild the indexes",
@@ -279,7 +281,7 @@ def _semeval_row(triple, verdict):
 def _write_verdicts(results, out):
     with atomic_open(out / "verdicts.jsonl") as fh:
         for triple, verdict in results:
-            fh.write(json.dumps(verdict.to_dict(triple), sort_keys=True, ensure_ascii=False))
+            fh.write(_VERDICT_JSON.encode(verdict.to_dict(triple)))
             fh.write("\n")
     with atomic_open(out / "semeval.csv") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -351,17 +353,15 @@ def cmd_evaluate(cfg) -> int:
     if not cfg.gold:
         raise ConfigError("evaluate requires a gold file (config key 'gold' or --gold)")
     stores = _load_stores(cfg)
-    lemma_table = _load_lemma_table(cfg)
-    gold = evaluation.load_gold(cfg.gold, lemma_table)
+    lemmas = text.Lemmas(_load_lemma_table(cfg))  # one memo for the gold and annotation reads
+    gold = evaluation.load_gold(cfg.gold, lemmas)
     annotations = None
     if cfg.annotations:
         if Path(cfg.annotations).exists():
-            annotations = evaluation.load_annotations(cfg.annotations, lemma_table)
+            annotations = evaluation.load_annotations(cfg.annotations, lemmas)
         else:
-            print(
-                f"notice: annotation file {cfg.annotations} not found; "
-                "category tables skipped", file=sys.stderr,
-            )
+            print(f"notice: annotation file {cfg.annotations} not found; category tables skipped",
+                  file=sys.stderr)
     results, bitmaps = classify_batch(gold, stores, cfg.cascade_config())
     combined = [verdict.discriminative for _, verdict in results]
     report = evaluation.build_report(bitmaps, combined, gold, annotations)
@@ -439,6 +439,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()  # the stores hold no cycles: a collection would scan them and free nothing
     try:
         args = build_parser().parse_args(argv)
         # every flag whose destination is a setting overrides it
@@ -467,6 +469,9 @@ def main(argv=None) -> int:
     except DiscrimAttrError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import open_text
 from .index import layout
-from .text import lemma_of
+from .text import Lemmas
 from .types import MembershipResult, Term
 
 
@@ -96,6 +96,7 @@ def load_assertions(path, lemma_table, language_filter="en") -> CkgStore:
     """
     assertions = set()
     skipped = 0
+    lemmas = Lemmas(lemma_table)  # "_" splits tokens as a space does
     with open_text(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
@@ -111,11 +112,11 @@ def load_assertions(path, lemma_table, language_filter="en") -> CkgStore:
             relation, start, end, weight = parsed
             if relation.startswith("Not"):
                 continue
-            try:
-                assertions.add((relation, lemma_of(start.replace("_", " "), lemma_table),
-                                lemma_of(end.replace("_", " "), lemma_table), weight))
-            except ValueError:
+            start, end = lemmas[start], lemmas[end]
+            if start is None or end is None:
                 skipped += 1
+            else:
+                assertions.add((relation, start, end, weight))
     return CkgStore.build(assertions, skipped=skipped)
 
 

@@ -15,7 +15,7 @@ import itertools
 import operator
 
 from .errors import DataFormatError, open_text
-from .text import lemma_of
+from .text import Lemmas, lemma_of
 from .types import CATEGORIES, COMPONENTS, Term, Triple
 
 # the components whose TP/FP intersections the overlap rows report: each
@@ -26,7 +26,9 @@ HEADER = ["pivot", "comparison", "attribute"]
 
 def read_triples(path, lemma_table, columns=None):
     """(line number, row, unlabeled `Triple`) of each row of a triple CSV, whose
-    rows have exactly `columns` cells, or at least 3 when `columns` is None."""
+    rows have exactly `columns` cells, or at least 3 when `columns` is None.
+    `lemma_table` may be a `Lemmas` memo of one, for reads to share."""
+    lemmas = lemma_table if isinstance(lemma_table, Lemmas) else Lemmas(lemma_table)
     with open_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or lineno == 1 and [c.strip().lower() for c in row[:3]] == HEADER:
@@ -35,7 +37,8 @@ def read_triples(path, lemma_table, columns=None):
                 raise DataFormatError(f"expected {columns or 'at least 3'} columns",
                                       path=path, line=lineno)
             try:
-                terms = [Term(s, lemma_of(s, lemma_table)) for s in map(str.strip, row[:3])]
+                terms = [Term(s, lemmas[s] or lemma_of(s, lemmas.table))  # on None, it raises why
+                         for s in map(str.strip, row[:3])]
             except ValueError as e:
                 raise DataFormatError(f"invalid term: {e}", path=path, line=lineno)
             yield lineno, row, Triple(*terms)
@@ -116,8 +119,11 @@ def per_class_metrics(predictions, gold) -> dict:
 
 def macro_f1(predictions: list, gold: list) -> float:
     """Unweighted mean of positive- and negative-class F1."""
-    m = per_class_metrics(predictions, gold)
-    return (m["positive"]["f1"] + m["negative"]["f1"]) / 2
+    return _mean_f1(per_class_metrics(predictions, gold))
+
+
+def _mean_f1(metrics):
+    return (metrics["positive"]["f1"] + metrics["negative"]["f1"]) / 2
 
 
 def per_category_recall(component_preds: dict, combined_preds: list,
@@ -200,27 +206,19 @@ def overlap_analysis(component_preds: dict, combined_preds: list,
 
 def error_breakdown(models_preds: dict, gold: list, sample_size: int = 10) -> dict:
     """Per model: FN/FP counts, FN share of total errors, error samples."""
-    out = {}
-    for name, preds in models_preds.items():
-        c = confusion(preds, gold)
-        errors = c["fn"] + c["fp"]
-        wrong = ((t, pred) for t, pred in zip(gold, preds) if pred != t.gold_label)
-        samples = [
-            {
-                "triple": list(t.key()),
-                "gold": int(t.gold_label),
-                "predicted": int(pred),
-                "type": "FN" if t.gold_label else "FP",
-            }
-            for t, pred in itertools.islice(wrong, sample_size)
-        ]
-        out[name] = {
-            "fn": c["fn"],
-            "fp": c["fp"],
-            "fn_share": c["fn"] / errors if errors else None,
-            "samples": samples,
-        }
-    return out
+    return {name: _errors(confusion(preds, gold), preds, gold, sample_size)
+            for name, preds in models_preds.items()}
+
+
+def _errors(c, preds, gold, sample_size=10):
+    """One model's `error_breakdown` entry, from its confusion counts `c`."""
+    wrong = ((t, pred) for t, pred in zip(gold, preds) if pred != t.gold_label)
+    samples = [{"triple": list(t.key()), "gold": int(t.gold_label), "predicted": int(pred),
+                "type": "FN" if t.gold_label else "FP"}
+               for t, pred in itertools.islice(wrong, sample_size)]
+    errors = c["fn"] + c["fp"]
+    return {"fn": c["fn"], "fp": c["fp"], "fn_share": c["fn"] / errors if errors else None,
+            "samples": samples}
 
 
 def build_report(component_preds, combined_preds, gold, annotations=None) -> dict:
@@ -237,10 +235,12 @@ def build_report(component_preds, combined_preds, gold, annotations=None) -> dic
         overlap = overlap_analysis(component_preds, combined_preds, gold)
         notes.append("no category annotations supplied; category tables skipped")
     notes.append("per-category cells report recall, not F1 (the two are sometimes conflated)")
+    errors = error_breakdown(component_preds, gold)
+    errors["combined"] = _errors(metrics["confusion"], combined_preds, gold)
     return {
-        "macro_f1": macro_f1(combined_preds, gold),
+        "macro_f1": _mean_f1(metrics),
         "metrics": metrics,
-        "errors": error_breakdown({**component_preds, "combined": combined_preds}, gold),
+        "errors": errors,
         "category_recall": category_recall,
         "overlap": overlap,
         "notes": notes,

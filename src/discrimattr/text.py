@@ -90,3 +90,17 @@ def lemma_of(surface: str, lemma_table: dict[str, str]) -> str:
     if not tokens:
         raise ValueError(f"no alphanumeric content in {surface!r}")
     return "_".join(lemma_table.get(t, t) for t in tokens)
+
+
+class Lemmas(dict):
+    """A memo of `lemma_of(name, table)` by name, None for a name with no lemma."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __missing__(self, name):
+        try:
+            self[name] = lemma_of(name, self.table)
+        except ValueError:
+            self[name] = None
+        return self[name]

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DataFormatError, open_text
 from .index import layout
-from .text import lemma_of, normalize
+from .text import Lemmas, normalize
 from .types import MembershipResult, Term
 
 _VIA_KEYS = ("image", "subject", "predicate", "object")
+_image = itemgetter(0)
 
 
 class RegionEvidence(NamedTuple):
@@ -79,16 +82,21 @@ class VisualStore:
             return MembershipResult(member=True, evidence=(
                 RegionEvidence(obj.lemma, attribute.lemma, direct),))
         if use_sor:
+            found = {obj.lemma: None}  # relative -> its regions with the attribute, never obj
             for rel in self.sor_index.get(obj.lemma, ()):
                 image, subject, _, object_ = rel
                 for other in (subject, object_):
-                    if other == obj.lemma:
+                    if other not in found:
+                        found[other] = self.oa_index.get(f"{other}\t{attribute.lemma}")
+                    regions = found[other]
+                    if not regions:
                         continue
-                    regions = [r for r in self.oa_index.get(f"{other}\t{attribute.lemma}", ())
-                               if r[0] == image]
-                    if len(regions) >= min_count:
+                    # the regions sort by image: this image's are one run of them
+                    start = bisect_left(regions, image, key=_image)
+                    end = bisect_right(regions, image, start, key=_image)
+                    if end - start >= min_count:
                         return MembershipResult(member=True, evidence=(
-                            RegionEvidence(other, attribute.lemma, regions, via=rel),))
+                            RegionEvidence(other, attribute.lemma, regions[start:end], via=rel),))
         return MembershipResult(member=False)
 
     def to_dict(self):
@@ -121,23 +129,15 @@ class _Builder:
     attributes that are not a list of strings is skipped and counted."""
 
     def __init__(self, lemma_table, stopwords):
-        self.lemma_table = lemma_table
         self.stopwords = stopwords
         self.oa = {}  # "object<TAB>attribute" -> [[image, region]], deduped in finish()
         self.relationships = []  # [image, subject, predicate, object], sorted in finish()
         self.skipped = 0
         self._lemmas = {}  # attribute phrase -> its lemmas
-        self._names = {}  # object, subject or predicate name -> its lemma, None if it has none
+        self.names = Lemmas(lemma_table)  # object, subject or predicate name -> its lemma
 
     def _lemma(self, name):
-        if type(name) is not str:
-            return None
-        if name not in self._names:
-            try:
-                self._names[name] = lemma_of(name, self.lemma_table)
-            except ValueError:
-                self._names[name] = None
-        return self._names[name]
+        return self.names[name] if type(name) is str else None
 
     def add_region(self, image_id, region_id, object_name, attributes):
         obj = self._lemma(object_name)
@@ -149,7 +149,7 @@ class _Builder:
         for attr in attributes:
             # attribute phrases split into tokens, each indexed separately
             if attr not in self._lemmas:
-                self._lemmas[attr] = normalize(attr, self.lemma_table, self.stopwords)
+                self._lemmas[attr] = normalize(attr, self.names.table, self.stopwords)
             for lemma in self._lemmas[attr]:
                 self.oa.setdefault(f"{obj}\t{lemma}", []).append(region)
 

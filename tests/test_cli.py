@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -183,6 +184,23 @@ def test_manifest_mismatch_refuses(built, tmp_path, capsys):
     manifest["inputs"]["definitions"]["path"] = str(defs2)
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["classify", "--config", str(cfg), "a", "b", "c"]) == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+@pytest.mark.parametrize("key,source", [("definitions", "definitions.jsonl"),
+                                        ("lemma_table", "lemmas.tsv")])
+def test_input_replaced_by_a_directory_is_a_changed_input(tmp_path, capsys, command, key,
+                                                          source):
+    path = tmp_path / source
+    path.write_bytes((DATA / source).read_bytes())
+    cfg = write_config(tmp_path, **{key: str(path)})
+    assert main(["build", "--config", str(cfg)]) == 0
+    path.unlink()
+    path.mkdir()
+    triple = ["apple", "banana", "red"] if command == "classify" else []
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *triple]) == 2
+    assert f"{path}: input {key!r} changed since build" in capsys.readouterr().err
 
 
 def _without_index_format(out):
@@ -565,6 +583,31 @@ def test_only_a_pivot_comparison_attribute_first_row_is_a_header(built, tmp_path
         (("pivot", "whiskey", "wine"), False), (("apple", "banana", "red"), True)]
     assert load_annotations(annotations, table) == {
         ("pivot", "whiskey", "wine"): {"logical"}, ("apple", "banana", "red"): {"sensory"}}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_pauses_the_collector_and_gives_back_the_callers_state(tmp_path, capsys,
+                                                                    monkeypatch, enabled):
+    cfg = write_config(tmp_path)
+    during = []
+    build = cli.cmd_build
+    monkeypatch.setattr(cli, "cmd_build", lambda c: during.append(gc.isenabled()) or build(c))
+    runs = [(["build", "--config", str(cfg)], 0),
+            (["build", "--config", str(cfg), "--vfm-min-count", "0"], 1),  # bad config value
+            (["classify", "--config", str(cfg), "--output-dir", str(tmp_path / "unbuilt"),
+              "apple", "banana", "red"], 2)]  # no manifest
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in runs:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):  # argparse's --help leaves by SystemExit
+            main(["--help"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]
 
 
 def test_env_var_data_dir(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,13 @@
 import pytest
 
+from discrimattr import evaluation
 from discrimattr.errors import DataFormatError
 from discrimattr.evaluation import (build_report, confusion,
                                     error_breakdown, load_annotations,
                                     load_gold, macro_f1, overlap_analysis,
-                                    per_category_recall, render_report)
-from discrimattr.types import Triple
+                                    per_category_recall, read_triples, render_report)
+from discrimattr.text import Lemmas, lemma_of
+from discrimattr.types import Term, Triple
 
 from conftest import term
 
@@ -20,6 +22,33 @@ def test_load_gold(data_dir, lemma_table):
     first = gold[0]
     assert first.key() == ("apple", "banana", "red")
     assert first.gold_label is True
+
+
+def test_memoized_reads_give_per_cell_terms(tmp_path, lemma_table):
+    rows = [["Apples", "banana", "red"], [" apples ", "Banana ", "  red"],
+            ["apples", "banana", "RED"], ["pear", " Apples", "red"]]
+    path = tmp_path / "triples.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    expected = [Triple(*(Term(s.strip(), lemma_of(s.strip(), lemma_table)) for s in row))
+                for row in rows]
+    lemmas = Lemmas(lemma_table)
+    for table in (lemma_table, lemmas, lemmas):  # the memo is filled after the first read
+        assert [t for _, _, t in read_triples(path, table)] == expected
+    assert sorted(lemmas) == ["Apples", "Banana", "RED", "apples", "banana", "pear", "red"]
+
+
+def test_memoized_reads_report_an_invalid_term_at_its_own_line(tmp_path, lemma_table):
+    lemmas = Lemmas(lemma_table)
+    for lineno in (3, 2):  # the second read finds "!!" in the memo
+        path = tmp_path / f"triples{lineno}.csv"
+        rows = ["apple,banana,red"] * (lineno - 1) + ["apple, !! ,red"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as exc:
+            list(read_triples(path, lemmas))
+        assert exc.value.line == lineno
+        assert str(exc.value) == \
+            f"{path}:{lineno}: invalid term: no alphanumeric content in '!!'"
+    assert lemmas["!!"] is None
 
 
 def test_load_gold_bad_label(tmp_path, lemma_table):
@@ -230,6 +259,21 @@ def test_report_determinism(data_dir, lemma_table):
     r2 = build_report(comp, bits, gold, ann)
     assert render_report(r1) == render_report(r2)
     assert r1 == r2
+
+
+def test_report_counts_each_confusion_matrix_once(data_dir, lemma_table, monkeypatch):
+    gold = load_gold(data_dir / "gold.csv", lemma_table)
+    bits = [t.gold_label for t in gold]
+    comp = {name: bits for name in ("DBM", "CKG", "VFM")}
+    counted = []
+    count = evaluation.confusion
+    monkeypatch.setattr(evaluation, "confusion",
+                        lambda preds, gold: counted.append(preds) or count(preds, gold))
+    report = build_report(comp, [False] * len(gold), gold)
+    assert len(counted) == 4  # each component's, and the combined model's
+    assert report["metrics"]["confusion"]["fn"] == sum(bits)
+    assert report["errors"]["combined"]["fn"] == sum(bits)
+    assert report["macro_f1"] == macro_f1([False] * len(gold), gold)
 
 
 def test_report_without_annotations_notes_skip():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError
-from discrimattr.visual import (VisualStore, _ArrayReader, _Builder, _load_visual_genome,
-                                load_scene_graphs)
+from discrimattr.types import MembershipResult
+from discrimattr.visual import (RegionEvidence, VisualStore, _ArrayReader, _Builder,
+                                _load_visual_genome, load_scene_graphs)
 
 from conftest import pairs_of, term
 
@@ -239,6 +240,45 @@ def test_reloaded_store_answers_like_built(regions, relationships):
                 for use_sor in (False, True):
                     assert reloaded.has_property(term(o), term(a), min_count, use_sor) == \
                         built.has_property(term(o), term(a), min_count, use_sor)
+
+
+def _sor_scan(store, o, a, min_count):
+    """`has_property(o, a, min_count, use_sor=True)` by brute force: the direct
+    regions, else the first relationship naming `o`, in list order, whose other
+    endpoint has at least `min_count` regions with `a` in that image."""
+    direct = store.oa_index.get(f"{o}\t{a}", [])
+    if len(direct) >= min_count:
+        return MembershipResult(True, (RegionEvidence(o, a, direct),))
+    for rel in store.relationships:
+        image, subject, _, object_ = rel
+        for other in (subject, object_) if o in (subject, object_) else ():
+            regions = [r for r in store.oa_index.get(f"{other}\t{a}", []) if r[0] == image]
+            if other != o and len(regions) >= min_count:
+                return MembershipResult(True, (RegionEvidence(other, a, regions, via=rel),))
+    return MembershipResult(False)
+
+
+# image ids that sort differently as strings and as numbers
+sor_images = st.sampled_from(["9", "10", "100"])
+
+
+@given(st.lists(st.tuples(sor_images, st.sampled_from(["1", "2", "3"]), st.sampled_from(objects),
+                          st.lists(st.sampled_from(attributes), max_size=2)), max_size=12),
+       st.lists(st.tuples(sor_images, st.sampled_from(objects), st.sampled_from(["on", "by"]),
+                          st.sampled_from(objects)), max_size=8))
+def test_sor_answers_like_a_scan_of_the_relationships(regions, relationships):
+    builder = _Builder({}, set())
+    for region in regions:
+        builder.add_region(*region)
+    # related objects repeat, and one relationship relates an object to itself
+    for rel in relationships + relationships[:2] + [("10", "cat", "by", "cat")]:
+        builder.add_relationship(*rel)
+    store = builder.finish()
+    for o in objects + ["dog"]:
+        for a in attributes:
+            for min_count in (1, 2):
+                assert store.has_property(term(o), term(a), min_count, use_sor=True) == \
+                    _sor_scan(store, o, a, min_count)
 
 
 def _streamed(text, chunk_size):
