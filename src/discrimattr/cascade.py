@@ -221,18 +221,16 @@ def classify(triple: Triple, stores: StoreSet,
 
 
 def classify_batch(triples, stores: StoreSet, config: CascadeConfig = CascadeConfig()):
-    """Classify a batch, order preserved.
+    """Classify the sequence `triples`, order preserved.
 
     Returns (results, bitmaps): results is [(triple, verdict)]; bitmaps maps
     each component to its standalone per-triple decision, for overlap and
     per-category analysis. Each membership is asked at most once per
-    triple; the verdict and the bitmaps both derive from those answers.
+    triple, and every triple of a component before any of the next, in
+    `COMPONENTS` order, so `stores` may hold one store at a time. The
+    verdict and the bitmaps both derive from those answers.
     """
-    results = []
-    bitmaps = {c: [] for c in COMPONENTS}
-    for triple in triples:
-        fired = {c: _fire(c, triple, stores, config) for c in COMPONENTS}
-        results.append((triple, classify(triple, stores, config, fired)))
-        for component in COMPONENTS:
-            bitmaps[component].append(fired[component] is not None)
-    return results, bitmaps
+    fired = {c: [_fire(c, triple, stores, config) for triple in triples] for c in COMPONENTS}
+    results = [(triple, classify(triple, stores, config, dict(zip(COMPONENTS, answers))))
+               for triple, *answers in zip(triples, *fired.values())]
+    return results, {c: [f is not None for f in answers] for c, answers in fired.items()}

@@ -172,36 +172,39 @@ def _manifest(cfg):
     }
 
 
+def _stage(name, cfg, lemma_table, stopwords, path):
+    """Ingests store `name`, writes its index to `path`; only (count, skipped) outlive the call."""
+    if name == "definitions":
+        store = (definitions.load_definitions(cfg.definitions, lemma_table, stopwords)
+                 if cfg.definitions else definitions._build_store([], lemma_table, stopwords))
+        count, skipped = store.space.document_count, 0
+    elif name == "commonsense":
+        store = (commonsense.load_assertions(cfg.assertions, lemma_table, cfg.language)
+                 if cfg.assertions else CkgStore.build([]))
+        count, skipped = sum(map(len, store.edges.values())), store.skipped
+    else:
+        store = visual.load_scene_graphs(cfg.scene_graphs, lemma_table, stopwords)
+        count, skipped = len(store.oa_index), store.skipped
+    dump_json(store.to_dict(), path)
+    return count, skipped
+
+
 def cmd_build(cfg) -> int:
     _validate_inputs(cfg)
     lemma_table = _load_lemma_table(cfg)
     stopwords = text.load_stopwords(cfg.stopwords) if cfg.stopwords else text.default_stopwords()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    dstore = (
-        definitions.load_definitions(cfg.definitions, lemma_table, stopwords)
-        if cfg.definitions
-        else definitions._build_store([], lemma_table, stopwords)
-    )
-    cstore = (
-        commonsense.load_assertions(cfg.assertions, lemma_table, language_filter=cfg.language)
-        if cfg.assertions
-        else CkgStore.build([])
-    )
-    vstore = visual.load_scene_graphs(cfg.scene_graphs, lemma_table, stopwords)
-
-    dump_json(dstore.to_dict(), out / STORE_FILES["definitions"])
-    dump_json(cstore.to_dict(), out / STORE_FILES["commonsense"])
-    dump_json(vstore.to_dict(), out / STORE_FILES["visual"])
-    manifest = _manifest(cfg)
-    manifest["document_counts"] = {
-        "definitions": dstore.space.document_count,
-        "commonsense": sum(map(len, cstore.edges.values())),
-        "visual": len(vstore.oa_index),
-    }
-    skipped = cstore.skipped + vstore.skipped
-    if skipped:
+    import tempfile  # only `build` stages its indexes
+    # each index waits here under its name, so a failed build keeps the previous ones
+    with tempfile.TemporaryDirectory(prefix=".build-", dir=out) as staged:
+        counts, skips = zip(*(_stage(name, cfg, lemma_table, stopwords, Path(staged, file))
+                              for name, file in STORE_FILES.items()))
+        manifest = _manifest(cfg)
+        for file in STORE_FILES.values():
+            os.replace(Path(staged, file), out / file)
+    manifest["document_counts"] = dict(zip(STORE_FILES, counts))
+    if skipped := sum(skips):
         manifest["skipped_records"] = skipped
         print(f"warning: skipped {skipped} malformed records", file=sys.stderr)
     dump_json(manifest, out / "manifest.json")
@@ -234,7 +237,11 @@ def _check_manifest(cfg, out):
                                   path=path)
     # the indexes hold the build's lemmas, so a query must lemmatize with its table,
     # which, when configured, is most often an input just hashed
-    if (hashed.get(cfg.lemma_table) or _lemma_table_file(cfg, _sha256)) != lemma_table_sha256:
+    try:
+        digest = hashed.get(cfg.lemma_table) or _lemma_table_file(cfg, _sha256)
+    except OSError as e:
+        raise DataFormatError(f"cannot read lemma table: {e.strerror}", path=cfg.lemma_table)
+    if digest != lemma_table_sha256:
         table = cfg.lemma_table or f"{text.DEFAULT_LEMMA_TABLE} (bundled)"
         raise DataFormatError(f"lemma table {table} is not the one the indexes were built with; "
                               "give that table or rebuild the indexes")
@@ -252,17 +259,30 @@ def _malformed(path, command="build"):
                               f"run `discrimattr {command}`", path=str(path))
 
 
+def _load_store(out, name):
+    from_dict = {"definitions": definitions.store_from_dict, "commonsense": CkgStore.from_dict,
+                 "visual": VisualStore.from_dict}[name]
+    with _malformed(out / STORE_FILES[name]):
+        return from_dict(load_json(out / STORE_FILES[name]))
+
+
 def _load_stores(cfg) -> StoreSet:
     out = Path(cfg.output_dir)
     _check_manifest(cfg, out)
+    return StoreSet(*(_load_store(out, name) for name in StoreSet._fields))
 
-    def load(name, from_dict):
-        with _malformed(out / STORE_FILES[name]):
-            return from_dict(load_json(out / STORE_FILES[name]))
 
-    return StoreSet(definitions=load("definitions", definitions.store_from_dict),
-                    commonsense=load("commonsense", CkgStore.from_dict),
-                    visual=load("visual", VisualStore.from_dict))
+class _OneStore:
+    """The stores in `out`, each decoded when first asked for, one at a time."""
+
+    def __init__(self, out):
+        self.out, self.name, self.store = out, None, None
+
+    def __getattr__(self, name):  # called for the store names, which are never set
+        if name != self.name:
+            self.store = None  # dropped before the next store is decoded
+            self.store, self.name = _load_store(self.out, name), name
+        return self.store
 
 
 def _term(surface, lemma_table):
@@ -352,7 +372,8 @@ def cmd_evaluate(cfg) -> int:
     from . import evaluation
     if not cfg.gold:
         raise ConfigError("evaluate requires a gold file (config key 'gold' or --gold)")
-    stores = _load_stores(cfg)
+    out = Path(cfg.output_dir)
+    _check_manifest(cfg, out)
     lemmas = text.Lemmas(_load_lemma_table(cfg))  # one memo for the gold and annotation reads
     gold = evaluation.load_gold(cfg.gold, lemmas)
     annotations = None
@@ -362,11 +383,9 @@ def cmd_evaluate(cfg) -> int:
         else:
             print(f"notice: annotation file {cfg.annotations} not found; category tables skipped",
                   file=sys.stderr)
-    results, bitmaps = classify_batch(gold, stores, cfg.cascade_config())
+    results, bitmaps = classify_batch(gold, _OneStore(out), cfg.cascade_config())
     combined = [verdict.discriminative for _, verdict in results]
     report = evaluation.build_report(bitmaps, combined, gold, annotations)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_verdicts(results, out)
     dump_json(report, out / "report.json")
     rendered = evaluation.render_report(report)
@@ -469,6 +488,10 @@ def main(argv=None) -> int:
     except DiscrimAttrError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # every read reports its own failure, so this is an output
+        print(f"error: cannot write {e.filename2 or e.filename or 'an output'}: {e.strerror}",
+              file=sys.stderr)
+        return 1
     finally:
         if enabled:
             gc.enable()

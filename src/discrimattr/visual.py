@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -56,19 +57,22 @@ class VisualStore:
     - `relationships`: sorted [image, subject, predicate, object]s,
       duplicates kept.
 
-    Only `sor_index` is derived at load."""
+    Only `sor_index` is derived, at the first SOR query."""
 
     def __init__(self, oa_index, relationships, skipped=0):
         self.oa_index = oa_index
         self.relationships = relationships
-        # endpoint lemma -> its relationships, in list order; a self-relationship
-        # is listed once
-        self.sor_index = {}
-        for rel in relationships:
-            self.sor_index.setdefault(rel[1], []).append(rel)
-            if rel[3] != rel[1]:
-                self.sor_index.setdefault(rel[3], []).append(rel)
         self.skipped = skipped
+
+    @cached_property
+    def sor_index(self):
+        """endpoint lemma -> its relationships, in list order; a self-relationship once"""
+        index = {}
+        for rel in self.relationships:
+            index.setdefault(rel[1], []).append(rel)
+            if rel[3] != rel[1]:
+                index.setdefault(rel[3], []).append(rel)
+        return index
 
     def count(self, object_lemma: str, attribute_lemma: str) -> int:
         return len(self.oa_index.get(f"{object_lemma}\t{attribute_lemma}", ()))

@@ -108,12 +108,20 @@ def test_render_requires_evidence(stores, lemma_table):
 
 
 def test_batch_equals_map(stores, lemma_table):
-    triples = [triple("apple", "banana", "red", lemma_table),
-               triple("planet", "moon", "body", lemma_table)]
-    results, bitmaps = classify_batch(triples, stores)
-    assert [t for t, _ in results] == triples
-    for t, v in results:
-        assert v.discriminative == classify(t, stores).discriminative
+    # DBM, CKG and VFM each decide some of these, and several stages fire for some
+    triples = [triple(p, c, a, lemma_table)
+               for p in ("apple", "brandy", "cat", "cognac", "planet")
+               for c in ("banana", "whiskey", "lion", "moon")
+               for a in ("red", "wine", "whiskers", "french", "body")]
+    deciders = set()
+    for order in itertools.permutations(COMPONENTS):
+        for extra in ({}, {"dbm_max_depth": 0, "vfm_use_sor": True}):
+            cfg = CascadeConfig(stage_order=order, **extra)
+            results, _ = classify_batch(triples, stores, cfg)
+            # whole verdicts: the component and the explanation too
+            assert results == [(t, classify(t, stores, cfg)) for t in triples]
+            deciders |= {v.deciding_component for _, v in results}
+    assert deciders == {None, *COMPONENTS}
     assert classify_batch([], stores) == ([], {c: [] for c in COMPONENTS})
 
 

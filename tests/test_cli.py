@@ -1,9 +1,11 @@
 import csv
+import errno
 import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import discrimattr
-from discrimattr import cli
+from discrimattr import cli, commonsense, definitions, visual
 from discrimattr.cli import _write_verdicts, load_config, main
 from discrimattr.errors import ConfigError
 from discrimattr.evaluation import load_annotations, load_gold, read_triples
@@ -203,6 +205,20 @@ def test_input_replaced_by_a_directory_is_a_changed_input(tmp_path, capsys, comm
     assert f"{path}: input {key!r} changed since build" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+@pytest.mark.parametrize("form", ["directory", "missing"])
+def test_query_lemma_table_that_cannot_be_read_exits_2(built, tmp_path, capsys, command, form):
+    # a table that is not among the build's inputs is read at query time for its digest
+    cfg, _ = built
+    table = tmp_path / "query-lemmas.tsv"
+    if form == "directory":
+        table.mkdir()
+    triple = ["apple", "banana", "red"] if command == "classify" else []
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--lemma-table", str(table), *triple]) == 2
+    assert f"{table}: cannot read lemma table" in capsys.readouterr().err
+
+
 def _without_index_format(out):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     manifest.pop("index_format", None)
@@ -245,6 +261,91 @@ def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
     capsys.readouterr()
     assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("store", ["definitions", "commonsense", "visual"])
+def test_evaluate_on_a_truncated_index_exits_2_and_keeps_its_outputs(built, capsys, store):
+    cfg, out = built
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    path = out / f"{store}.index.json"
+    path.write_bytes(path.read_bytes()[:40])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == 2
+    assert str(path) in capsys.readouterr().err
+    # verdicts.jsonl, semeval.csv, report.txt and report.json as they were, and no temporary file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _live_stores_at_each_call(monkeypatch, *functions):
+    """Wraps each `(owner, name)` function that returns a store. The list returned
+    gets, at each call, how many stores returned by earlier calls are still alive."""
+    stores, live = [], []
+
+    def wrap(function):
+        def counted(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in stores))
+            store = function(*args, **kwargs)
+            stores.append(weakref.ref(store))
+            return store
+        return counted
+
+    for owner, name in functions:
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+    return live
+
+
+def test_evaluate_holds_one_decoded_store_at_a_time(built, monkeypatch, capsys):
+    cfg, _ = built
+    live = _live_stores_at_each_call(monkeypatch, (definitions, "store_from_dict"),
+                                     (commonsense.CkgStore, "from_dict"),
+                                     (visual.VisualStore, "from_dict"))
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert live == [0, 0, 0]
+    # classify decodes and holds all three; explain decodes none
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
+    assert live == [0, 0, 0, 0, 1, 2]
+    assert main(["explain", "--config", str(cfg), "apple", "banana", "red"]) == 0
+    assert len(live) == 6
+
+
+def test_build_holds_one_ingested_store_at_a_time(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    live = _live_stores_at_each_call(monkeypatch, (definitions, "load_definitions"),
+                                     (commonsense, "load_assertions"),
+                                     (visual, "load_scene_graphs"))
+    assert main(["build", "--config", str(cfg)]) == 0
+    assert live == [0, 0, 0]
+
+
+def _broken_scene_graph(tmp_path):
+    # the definitions and assertions, read first, build and differ from the fixture's
+    defs, assertions = tmp_path / "defs.jsonl", tmp_path / "assertions.tsv"
+    for path, source, lines in ((defs, "definitions.jsonl", 3), (assertions, "assertions.tsv", 2)):
+        kept = (DATA / source).read_text(encoding="utf-8").splitlines(keepends=True)[:lines]
+        path.write_text("".join(kept), encoding="utf-8")
+    objects = tmp_path / "objects.json"
+    objects.write_text((DATA / "vg_objects.json").read_text(encoding="utf-8")[:-40],
+                       encoding="utf-8")
+    return {"definitions": str(defs), "assertions": str(assertions),
+            "scene_graphs": [str(objects)]}
+
+
+def _broken_definition(tmp_path):
+    defs = tmp_path / "defs.jsonl"
+    defs.write_text((DATA / "definitions.jsonl").read_text(encoding="utf-8")
+                    + '{"term": 5, "sense": "s", "segments": []}\n', encoding="utf-8")
+    return {"definitions": str(defs)}
+
+
+@pytest.mark.parametrize("broken", [_broken_scene_graph, _broken_definition],
+                         ids=["scene-graph", "definition"])
+def test_failed_build_leaves_the_previous_build_as_it_was(built, tmp_path, capsys, broken):
+    cfg, out = built
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["build", "--config", str(write_config(tmp_path, "broken.json",
+                                                       **broken(tmp_path)))]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # nothing staged is left
 
 
 @pytest.mark.parametrize("key,value", [
@@ -456,6 +557,50 @@ def test_failed_verdict_write_keeps_old_files(built, tmp_path, capsys, failing, 
         _write_verdicts([(triple, verdict)], out)
     assert (out / failing).read_bytes() == good
     assert sorted(p.name for p in out.iterdir()) == names
+
+
+def _output_dir_is_a_file(tmp_path, out):
+    path = tmp_path / "afile"
+    path.write_text("not a directory\n", encoding="utf-8")
+    return ["build", "--output-dir", str(path)], path
+
+
+def _output_dir_is_under_a_file(tmp_path, out):
+    (tmp_path / "afile").write_text("not a directory\n", encoding="utf-8")
+    path = tmp_path / "afile" / "sub"
+    return ["build", "--output-dir", str(path)], path
+
+
+def _verdicts_path_is_a_directory(tmp_path, out):
+    path = out / "verdicts.jsonl"
+    path.mkdir()
+    return ["classify", "apple", "banana", "red"], path
+
+
+@pytest.mark.parametrize("blocked", [_output_dir_is_a_file, _output_dir_is_under_a_file,
+                                     _verdicts_path_is_a_directory],
+                         ids=["output-dir-a-file", "output-dir-under-a-file",
+                              "verdicts-a-directory"])
+def test_output_that_cannot_be_written_exits_1_naming_it(built, tmp_path, capsys, blocked):
+    cfg, out = built
+    (command, *args), path = blocked(tmp_path, out)
+    files = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *args]) == 1
+    assert f"error: cannot write {path}: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == files  # no temporary or staged file is left
+
+
+def test_output_error_without_a_path_exits_1(built, monkeypatch, capsys):
+    cfg, _ = built
+
+    def disk_full(*_):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_write_verdicts", disk_full)
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 1
+    assert f"error: cannot write an output: {os.strerror(errno.ENOSPC)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["gold", "annotations"])

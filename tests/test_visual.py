@@ -75,6 +75,20 @@ def test_sor_superset(visual_store):
             assert with_sor or not without
 
 
+def test_sor_index_is_derived_at_the_first_sor_query(visual_store, data_dir, lemma_table,
+                                                      stopwords):
+    built = load_scene_graphs([data_dir / "scene_relationships.jsonl"], lemma_table, stopwords)
+    assert "sor_index" not in vars(built)  # `build` never asks it
+    store = VisualStore.from_dict(json.loads(json.dumps(visual_store.to_dict())))
+    lion, whisker = term("lion"), term("whiskers", "whisker")
+    assert "sor_index" not in vars(store)
+    store.has_property(lion, whisker)
+    assert "sor_index" not in vars(store)
+    store.has_property(lion, whisker, use_sor=True)
+    assert vars(store)["sor_index"] == visual_store.sor_index
+    assert visual_store.sor_index  # the fixtures relate objects, so the index is not empty
+
+
 def test_oracle_equivalence(visual_store, data_dir, lemma_table, stopwords):
     from discrimattr.text import lemma_of, normalize
 
