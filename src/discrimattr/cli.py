@@ -184,7 +184,7 @@ def _stage(name, cfg, lemma_table, stopwords, path):
         count, skipped = sum(map(len, store.edges.values())), store.skipped
     else:
         store = visual.load_scene_graphs(cfg.scene_graphs, lemma_table, stopwords)
-        count, skipped = len(store.oa_index), store.skipped
+        count, skipped = sum(map(len, store.oa_index.values())), store.skipped
     dump_json(store.to_dict(), path)
     return count, skipped
 
@@ -200,7 +200,10 @@ def cmd_build(cfg) -> int:
     with tempfile.TemporaryDirectory(prefix=".build-", dir=out) as staged:
         counts, skips = zip(*(_stage(name, cfg, lemma_table, stopwords, Path(staged, file))
                               for name, file in STORE_FILES.items()))
+        gc.collect()  # empties the free lists, so the ingests' memory goes back before `hashlib`
         manifest = _manifest(cfg)
+        # no manifest until the new one: a build that fails between two renames leaves none
+        (out / "manifest.json").unlink(missing_ok=True)
         for file in STORE_FILES.values():
             os.replace(Path(staged, file), out / file)
     manifest["document_counts"] = dict(zip(STORE_FILES, counts))

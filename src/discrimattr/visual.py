@@ -15,7 +15,7 @@ import json
 import re
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import DataFormatError, open_text
@@ -24,13 +24,12 @@ from .text import Lemmas, normalize
 from .types import MembershipResult, Term
 
 _VIA_KEYS = ("image", "subject", "predicate", "object")
-_image = itemgetter(0)
 
 
 class RegionEvidence(NamedTuple):
     """Grounding for a positive OA answer: the co-occurrence regions, plus
-    the mediating relationship when the attribute was inherited. Both are
-    read from the store as they are held there."""
+    the mediating relationship when the attribute was inherited, as the
+    store holds it."""
 
     object: str
     attribute: str
@@ -53,7 +52,8 @@ class VisualStore:
     """Immutable after load; concurrent readers are safe. Built, persisted
     and queried in one form:
 
-    - `oa_index`: "object<TAB>attribute" -> sorted, unique [image, region]s;
+    - `oa_index`: object -> {attribute -> [image, region, image, region, ...]},
+      the sorted, unique [image, region] pairs, flattened;
     - `relationships`: sorted [image, subject, predicate, object]s,
       duplicates kept.
 
@@ -74,33 +74,38 @@ class VisualStore:
                 index.setdefault(rel[3], []).append(rel)
         return index
 
+    def _regions(self, object_lemma, attribute_lemma):
+        return self.oa_index.get(object_lemma, {}).get(attribute_lemma, ())
+
     def count(self, object_lemma: str, attribute_lemma: str) -> int:
-        return len(self.oa_index.get(f"{object_lemma}\t{attribute_lemma}", ()))
+        return len(self._regions(object_lemma, attribute_lemma)) // 2
 
     def has_property(self, obj: Term, attribute: Term, min_count: int = 1,
                      use_sor: bool = False) -> MembershipResult:
         """True iff the pair co-occurs in >= min_count regions, or (with
         use_sor) a related object in the same image does."""
-        direct = self.oa_index.get(f"{obj.lemma}\t{attribute.lemma}", ())
-        if len(direct) >= min_count:
+        direct = self._regions(obj.lemma, attribute.lemma)
+        if len(direct) >= 2 * min_count:
             return MembershipResult(member=True, evidence=(
-                RegionEvidence(obj.lemma, attribute.lemma, direct),))
+                RegionEvidence(obj.lemma, attribute.lemma, _pairs(direct)),))
         if use_sor:
-            found = {obj.lemma: None}  # relative -> its regions with the attribute, never obj
+            # relative -> its regions with the attribute and their images, never obj's
+            found = {obj.lemma: ((), ())}
             for rel in self.sor_index.get(obj.lemma, ()):
                 image, subject, _, object_ = rel
                 for other in (subject, object_):
                     if other not in found:
-                        found[other] = self.oa_index.get(f"{other}\t{attribute.lemma}")
-                    regions = found[other]
+                        regions = self._regions(other, attribute.lemma)
+                        found[other] = regions, regions[::2]
+                    regions, images = found[other]
                     if not regions:
                         continue
-                    # the regions sort by image: this image's are one run of them
-                    start = bisect_left(regions, image, key=_image)
-                    end = bisect_right(regions, image, start, key=_image)
+                    # the pairs sort by image: this image's are one run of them
+                    start = bisect_left(images, image)
+                    end = bisect_right(images, image, start)
                     if end - start >= min_count:
-                        return MembershipResult(member=True, evidence=(
-                            RegionEvidence(other, attribute.lemma, regions[start:end], via=rel),))
+                        return MembershipResult(member=True, evidence=(RegionEvidence(
+                            other, attribute.lemma, _pairs(regions[2 * start:2 * end]), via=rel),))
         return MembershipResult(member=False)
 
     def to_dict(self):
@@ -112,19 +117,13 @@ class VisualStore:
         return cls(*layout(data, oa_index=dict, relationships=list, skipped=int))
 
 
+def _pairs(flat):
+    """[image, region, ...] as [[image, region], ...]"""
+    return list(map(list, zip(*[iter(flat)] * 2)))
+
+
 def _is_id(value):
     return type(value) is str or type(value) is int
-
-
-def _dedup(items):
-    """Sorts `items` and drops repeats, in place."""
-    items.sort()
-    n = 0
-    for item in items:
-        if not n or item != items[n - 1]:
-            items[n] = item
-            n += 1
-    del items[n:]
 
 
 class _Builder:
@@ -134,7 +133,7 @@ class _Builder:
 
     def __init__(self, lemma_table, stopwords):
         self.stopwords = stopwords
-        self.oa = {}  # "object<TAB>attribute" -> [[image, region]], deduped in finish()
+        self.oa = {}  # object -> {attribute -> [image, region, ...]}, sorted in finish()
         self.relationships = []  # [image, subject, predicate, object], sorted in finish()
         self.skipped = 0
         self._lemmas = {}  # attribute phrase -> its lemmas
@@ -149,13 +148,13 @@ class _Builder:
                 or type(attributes) is not list or not all(type(a) is str for a in attributes):
             self.skipped += 1
             return
-        region = [str(image_id), str(region_id)]  # one list, shared by the region's pairs
+        region = (str(image_id), str(region_id))  # its ids, shared by the region's pairs
         for attr in attributes:
             # attribute phrases split into tokens, each indexed separately
             if attr not in self._lemmas:
                 self._lemmas[attr] = normalize(attr, self.names.table, self.stopwords)
             for lemma in self._lemmas[attr]:
-                self.oa.setdefault(f"{obj}\t{lemma}", []).append(region)
+                self.oa.setdefault(obj, {}).setdefault(lemma, []).extend(region)
 
     def add_relationship(self, image_id, subject, predicate, object_name):
         rel = [str(image_id), self._lemma(subject), self._lemma(predicate), self._lemma(object_name)]
@@ -165,8 +164,12 @@ class _Builder:
         self.relationships.append(rel)
 
     def finish(self):
-        for regions in self.oa.values():
-            _dedup(regions)
+        for attrs in self.oa.values():
+            for regions in attrs.values():
+                if len(regions) > 2:  # one region is sorted and unique as it is
+                    # dedup in arrival order, mostly sorted already, so the sort is cheap
+                    pairs = dict.fromkeys(zip(regions[::2], regions[1::2]))
+                    regions[:] = chain.from_iterable(sorted(pairs))
         self.relationships.sort()
         return VisualStore(self.oa, self.relationships, skipped=self.skipped)
 

@@ -79,4 +79,4 @@ def concepts_of(store):
 
 def pairs_of(store):
     """Every (object, attribute) pair of the VFM store's object-attribute index."""
-    return [tuple(key.split("\t")) for key in store.oa_index]
+    return [(o, a) for o, attrs in store.oa_index.items() for a in attrs]

@@ -251,10 +251,11 @@ def _index_format(number):
 
 @pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index,
                                      _index_format(2), _index_format(3), _index_format(4),
-                                     _index_of_another_layout],
+                                     _index_format(5), _index_of_another_layout],
                          ids=["manifest-without-index-format", "truncated-index",
                               "manifest-index-format-2", "manifest-index-format-3",
-                              "manifest-index-format-4", "index-of-another-layout"])
+                              "manifest-index-format-4", "manifest-index-format-5",
+                              "index-of-another-layout"])
 def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
     cfg, out = built
     path = corrupt(out)
@@ -346,6 +347,26 @@ def test_failed_build_leaves_the_previous_build_as_it_was(built, tmp_path, capsy
     assert main(["build", "--config", str(write_config(tmp_path, "broken.json",
                                                        **broken(tmp_path)))]) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # nothing staged is left
+
+
+def test_build_that_fails_between_two_renames_leaves_no_manifest(built, tmp_path, capsys):
+    cfg, out = built
+    visual_index = out / "visual.index.json"
+    old = visual_index.read_bytes()
+    visual_index.unlink()
+    visual_index.mkdir()  # the last rename fails
+    defs = tmp_path / "defs.jsonl"
+    lines = (DATA / "definitions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    defs.write_text("".join(line for line in lines if '"apple"' not in line), encoding="utf-8")
+    changed = write_config(tmp_path, "changed.json", definitions=str(defs))
+    assert main(["build", "--config", str(changed)]) == 1
+    visual_index.rmdir()
+    visual_index.write_bytes(old)
+    # the DBM index is the failed build's, the VFM index the previous one's: neither is read
+    for command in (["classify", "apple", "banana", "red"], ["evaluate"]):
+        capsys.readouterr()
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 2
+        assert f"no manifest in {out}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [

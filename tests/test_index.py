@@ -1,13 +1,16 @@
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError, EmptyCorpusError
-from discrimattr.index import ExplicitVectorSpace, atomic_open, dump_json, load_json
+from discrimattr.index import (FORMAT_VERSION, ExplicitVectorSpace, atomic_open, dump_json,
+                               load_json)
 
 
 def space_of(*docs):
@@ -171,3 +174,9 @@ def test_index_of_another_layout_fails_at_load(request, store, key):
     data[key] = "x"
     with pytest.raises(TypeError, match=repr(key)):
         decode(data)
+
+
+def test_readme_names_the_index_format():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"The index format is (\d+)", readme) == [str(FORMAT_VERSION)]
+    assert re.findall(r'"index_format"`, (\d+) today', readme) == [str(FORMAT_VERSION)]

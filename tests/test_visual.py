@@ -165,7 +165,7 @@ def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, recor
     store = load_scene_graphs([p], lemma_table, stopwords)
     assert store.count("cat", "black") == 1
     assert store.skipped == 1
-    assert list(store.oa_index) == ["cat\tblack"] and store.relationships == []
+    assert pairs_of(store) == [("cat", "black")] and store.relationships == []
 
 
 @pytest.mark.parametrize("images,skipped", [
@@ -198,7 +198,7 @@ def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopword
     store = load_scene_graphs([p], lemma_table, stopwords)
     assert store.count("cat", "black") == 1
     assert store.skipped == skipped
-    assert list(store.oa_index) == ["cat\tblack"] and store.relationships == []
+    assert pairs_of(store) == [("cat", "black")] and store.relationships == []
 
 
 def test_unreadable_file_errors(tmp_path, lemma_table, stopwords):
@@ -223,8 +223,9 @@ def test_repeated_attribute_lemma_counts_region_once(tmp_path):
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     store = load_scene_graphs([path], {"cats": "cat"}, set())
-    assert store.oa_index["cat\tblack"] == [["1", "5"], ["9", "1"], ["9", "2"]]
-    for regions in store.oa_index.values():
+    assert store.oa_index["cat"]["black"] == ["1", "5", "9", "1", "9", "2"]
+    for o, a in pairs_of(store):
+        regions = _regions(store, o, a)
         assert all(a < b for a, b in zip(regions, regions[1:]))  # sorted and unique
 
 
@@ -256,17 +257,23 @@ def test_reloaded_store_answers_like_built(regions, relationships):
                         built.has_property(term(o), term(a), min_count, use_sor)
 
 
+def _regions(store, o, a):
+    """The [image, region] pairs of (o, a), read from the flat list the store holds."""
+    flat = store.oa_index.get(o, {}).get(a, [])
+    return [list(pair) for pair in zip(flat[::2], flat[1::2])]
+
+
 def _sor_scan(store, o, a, min_count):
     """`has_property(o, a, min_count, use_sor=True)` by brute force: the direct
     regions, else the first relationship naming `o`, in list order, whose other
     endpoint has at least `min_count` regions with `a` in that image."""
-    direct = store.oa_index.get(f"{o}\t{a}", [])
+    direct = _regions(store, o, a)
     if len(direct) >= min_count:
         return MembershipResult(True, (RegionEvidence(o, a, direct),))
     for rel in store.relationships:
         image, subject, _, object_ = rel
         for other in (subject, object_) if o in (subject, object_) else ():
-            regions = [r for r in store.oa_index.get(f"{other}\t{a}", []) if r[0] == image]
+            regions = [r for r in _regions(store, other, a) if r[0] == image]
             if other != o and len(regions) >= min_count:
                 return MembershipResult(True, (RegionEvidence(other, a, regions, via=rel),))
     return MembershipResult(False)
@@ -369,11 +376,14 @@ def test_index_form_is_the_store_form(visual_store):
     assert reloaded.relationships is visual_store.relationships
     assert visual_store.relationships == [["3", "man", "under", "tree"],
                                           ["4", "window", "above", "table"]]
+    assert visual_store.oa_index["cat"]["whisker"] == ["2", "1", "2", "2", "3", "1"]
 
 
 def test_region_list_shared_by_its_pairs():
     builder = _Builder({}, set())
     builder.add_region(1, 2, "table", ["light brown"])
     store = builder.finish()
-    assert store.oa_index == {"table\tlight": [["1", "2"]], "table\tbrown": [["1", "2"]]}
-    assert store.oa_index["table\tlight"][0] is store.oa_index["table\tbrown"][0]
+    assert store.oa_index == {"table": {"light": ["1", "2"], "brown": ["1", "2"]}}
+    # the region's ids are held once, however many pairs name it
+    assert store.oa_index["table"]["light"][0] is store.oa_index["table"]["brown"][0]
+    assert store.oa_index["table"]["light"][1] is store.oa_index["table"]["brown"][1]
