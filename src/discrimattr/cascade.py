@@ -93,14 +93,16 @@ class StoreSet(NamedTuple):
 
 
 class Stage(NamedTuple):
-    """One knowledge component: its membership query, its evidence type and
-    the template that explains a verdict it decides."""
+    """One knowledge component: the store it asks, its membership queries,
+    its evidence type and the template that explains a verdict it decides."""
 
     name: str
     kind: str  # "intensional" or "extensional"
     template_id: str
     template: str
-    query: Callable  # (stores, term, attribute, config) -> MembershipResult
+    store: str  # the `StoreSet` field of the store it asks
+    query: Callable  # (store, term, attribute, config) -> MembershipResult
+    holds: Callable  # (store, term, attribute, config) -> query(...).member, without evidence
     evidence_type: type  # decodes stored evidence with `from_dict`
     slots: Callable  # evidence tuple -> the template's evidence slots
 
@@ -135,8 +137,10 @@ STAGES = {s.name: s for s in (
         "the definition of {evidence_term} ({sense}, role: {role}){via} states "
         "\"{text}\", while no definition of '{comparison}' (or of its supertypes) "
         "mentions '{attribute}'.",
-        lambda stores, term, attribute, config: stores.definitions.has_property(
+        "definitions",
+        lambda store, term, attribute, config: store.has_property(
             term, attribute, max_depth=config.dbm_max_depth),
+        lambda store, term, attribute, config: store.holds(term, attribute, config.dbm_max_depth),
         DefinitionEvidence, _dbm_slots,
     ),
     Stage(
@@ -144,8 +148,9 @@ STAGES = {s.name: s for s in (
         "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
         "the knowledge graph contains the edge {start} -{relation}-> {end}, "
         "while no edge links '{comparison}' and '{attribute}'.",
-        lambda stores, term, attribute, config: stores.commonsense.has_property(
-            term, attribute),
+        "commonsense",
+        lambda store, term, attribute, config: store.has_property(term, attribute),
+        lambda store, term, attribute, config: store.holds(term, attribute),
         EdgeEvidence, _ckg_slots,
     ),
     Stage(
@@ -153,7 +158,10 @@ STAGES = {s.name: s for s in (
         "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
         "'{attribute}' co-occurs with '{evidence_object}'{via} in {n} image "
         "region(s) ({regions}), and never with '{comparison}'.",
-        lambda stores, term, attribute, config: stores.visual.has_property(
+        "visual",
+        lambda store, term, attribute, config: store.has_property(
+            term, attribute, min_count=config.vfm_min_count, use_sor=config.vfm_use_sor),
+        lambda store, term, attribute, config: store.holds(
             term, attribute, min_count=config.vfm_min_count, use_sor=config.vfm_use_sor),
         RegionEvidence, _vfm_slots,
     ),
@@ -162,7 +170,8 @@ STAGES = {s.name: s for s in (
 
 def member(component, term, attribute, stores: StoreSet, config: CascadeConfig) -> MembershipResult:
     """One component's membership answer for (attribute, term)."""
-    return STAGES[component].query(stores, term, attribute, config)
+    stage = STAGES[component]
+    return stage.query(getattr(stores, stage.store), term, attribute, config)
 
 
 def render_explanation(triple: Triple, component: str, evidence: tuple) -> str:
@@ -195,7 +204,7 @@ def classify(triple: Triple, stores: StoreSet,
 
     `fired`, when given, maps every component to what `_fire` returned for
     this triple, so a caller that has asked every stage already does not
-    ask again."""
+    ask again; past the first stage that fires, only None is read."""
     for component in config.stage_order:
         if fired is None:
             pivot_result = _fire(component, triple, stores, config)
@@ -225,12 +234,24 @@ def classify_batch(triples, stores: StoreSet, config: CascadeConfig = CascadeCon
 
     Returns (results, bitmaps): results is [(triple, verdict)]; bitmaps maps
     each component to its standalone per-triple decision, for overlap and
-    per-category analysis. Each membership is asked at most once per
-    triple, and every triple of a component before any of the next, in
-    `COMPONENTS` order, so `stores` may hold one store at a time. The
-    verdict and the bitmaps both derive from those answers.
+    per-category analysis. Stages go in `config.stage_order`, each asking
+    every triple before the next takes its store, so `stores` may hold one
+    store at a time. A membership is asked at most once per triple, evidence
+    only for the deciding pivot; verdicts and bitmaps derive from the answers.
     """
-    fired = {c: [_fire(c, triple, stores, config) for triple in triples] for c in COMPONENTS}
-    results = [(triple, classify(triple, stores, config, dict(zip(COMPONENTS, answers))))
+    pending = [True] * len(triples)  # no stage has decided the triple yet
+    fired = {}  # what `_fire` returns, but True where an earlier stage decided
+    for component in config.stage_order:
+        stage, answers = STAGES[component], fired.setdefault(component, [])
+        store = getattr(stores, stage.store)
+        for i, (pivot, comparison, attribute, _) in enumerate(triples):
+            if stage.holds(store, pivot, attribute, config) \
+                    and not stage.holds(store, comparison, attribute, config):
+                answers.append(stage.query(store, pivot, attribute, config) if pending[i] else True)
+                pending[i] = False
+            else:
+                answers.append(None)
+        store = None  # dropped before the next stage decodes its store
+    results = [(triple, classify(triple, stores, config, dict(zip(fired, answers))))
                for triple, *answers in zip(triples, *fired.values())]
-    return results, {c: [f is not None for f in answers] for c, answers in fired.items()}
+    return results, {c: [f is not None for f in fired[c]] for c in COMPONENTS}

@@ -283,7 +283,7 @@ class _OneStore:
 
     def __getattr__(self, name):  # called for the store names, which are never set
         if name != self.name:
-            self.store = None  # dropped before the next store is decoded
+            self.store = self.name = None  # dropped, and unnamed, before the next decode
             self.store, self.name = _load_store(self.out, name), name
         return self.store
 
@@ -473,6 +473,8 @@ def main(argv=None) -> int:
         if args.command == "classify":
             if args.triple and len(args.triple) != 3:
                 raise ConfigError("a triple needs exactly 3 terms: pivot comparison attribute")
+            if args.triple and args.triples_file:
+                raise ConfigError("give a triple or --triples-file, not both")
             return cmd_classify(cfg, triple_args=args.triple or None,
                                 triples_file=args.triples_file)
         if args.command == "explain":

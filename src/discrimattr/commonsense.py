@@ -59,6 +59,11 @@ class CkgStore:
                 edges.setdefault(f"{start}\t{end}", []).append([relation, weight])
         return cls(edges, skipped)
 
+    def holds(self, term: Term, attribute: Term) -> bool:
+        """`has_property(...).member`, without the evidence: the two edge keys' lookups."""
+        t, a = term.lemma, attribute.lemma
+        return bool(self.edges.get(f"{t}\t{a}") or a != t and self.edges.get(f"{a}\t{t}"))
+
     def has_property(self, term: Term, attribute: Term) -> MembershipResult:
         """True iff any assertion connects the two lemmas, either direction.
         A self-loop is listed once, as forward."""

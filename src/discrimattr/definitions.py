@@ -61,12 +61,16 @@ class DefinitionStore:
     - `records`: lemma -> [[sense, role, text], ...], its segments in file order;
     - `supertype_edges`: lemma -> sorted [lemma, ...];
     - `space`: the inverted index over the segments, which names each one
-      by its lemma and its position in the lemma's records."""
+      by its lemma and its position in the lemma's records.
+
+    The supertype expansion of a (lemma, max_depth), which depends on nothing
+    else, is kept once made; two readers that make it at once keep equal values."""
 
     def __init__(self, records, supertype_edges, space):
         self.records = records
         self.supertype_edges = supertype_edges
         self.space = space
+        self._lineages = {}  # (lemma, max_depth) -> _lineage's answer
 
     def expand(self, term: Term, max_depth: int = DEFAULT_MAX_DEPTH):
         """Breadth-first supertype expansion.
@@ -75,6 +79,12 @@ class DefinitionStore:
         term's own first, then ancestors by (depth, lemma) order. Cycles are
         visited once. `path` runs from the queried lemma to `lemma`.
         """
+        return list(zip(*self._lineage(term, max_depth)))
+
+    def _lineage(self, term, max_depth):
+        """`expand`'s lemmas and paths, as two tuples, kept for (term.lemma, max_depth)."""
+        if (term.lemma, max_depth) in self._lineages:
+            return self._lineages[term.lemma, max_depth]
         out = []
         visited = {term.lemma}
         frontier = [(term.lemma, (term.lemma,))]
@@ -91,7 +101,13 @@ class DefinitionStore:
                         next_frontier.append((parent, path + (parent,)))
             frontier = sorted(next_frontier)
             depth += 1
+        self._lineages[term.lemma, max_depth] = out = tuple(zip(*out)) or ((), ())
         return out
+
+    def holds(self, term: Term, attribute: Term, max_depth: int = DEFAULT_MAX_DEPTH) -> bool:
+        """`has_property(...).member`, without the evidence."""
+        positions = self.space.documents_containing(attribute.lemma)
+        return bool(positions) and any(map(positions.get, self._lineage(term, max_depth)[0]))
 
     def has_property(self, term: Term, attribute: Term, max_depth: int = DEFAULT_MAX_DEPTH) -> MembershipResult:
         """True iff the attribute lemma occurs in any segment of the term's
@@ -101,7 +117,7 @@ class DefinitionStore:
         expansion; evidence follows expansion order, then segment order."""
         positions = self.space.documents_containing(attribute.lemma)
         evidence = []
-        for lemma, path in self.expand(term, max_depth) if positions else ():
+        for lemma, path in zip(*self._lineage(term, max_depth)) if positions else ():
             for i in positions.get(lemma, ()):
                 sense, role, text = self.records[lemma][i]
                 evidence.append(DefinitionEvidence(lemma, sense, role, text, path))

@@ -29,6 +29,7 @@ def read_triples(path, lemma_table, columns=None):
     rows have exactly `columns` cells, or at least 3 when `columns` is None.
     `lemma_table` may be a `Lemmas` memo of one, for reads to share."""
     lemmas = lemma_table if isinstance(lemma_table, Lemmas) else Lemmas(lemma_table)
+    terms = {}  # stripped cell -> its Term: one per distinct cell of this read
     with open_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or lineno == 1 and [c.strip().lower() for c in row[:3]] == HEADER:
@@ -36,12 +37,14 @@ def read_triples(path, lemma_table, columns=None):
             if len(row) < 3 or columns and len(row) != columns:
                 raise DataFormatError(f"expected {columns or 'at least 3'} columns",
                                       path=path, line=lineno)
-            try:
-                terms = [Term(s, lemmas[s] or lemma_of(s, lemmas.table))  # on None, it raises why
-                         for s in map(str.strip, row[:3])]
-            except ValueError as e:
-                raise DataFormatError(f"invalid term: {e}", path=path, line=lineno)
-            yield lineno, row, Triple(*terms)
+            cells = [cell.strip() for cell in row[:3]]
+            for s in cells:
+                if s not in terms:
+                    try:  # on None, lemma_of raises why
+                        terms[s] = Term(s, lemmas[s] or lemma_of(s, lemmas.table))
+                    except ValueError as e:
+                        raise DataFormatError(f"invalid term: {e}", path=path, line=lineno)
+            yield lineno, row, Triple(*map(terms.__getitem__, cells))
 
 
 def load_gold(path, lemma_table) -> list[Triple]:
@@ -61,7 +64,7 @@ def load_gold(path, lemma_table) -> list[Triple]:
                 )
             continue
         seen[key] = label
-        gold.append(Triple(*triple[:3], gold_label=label))
+        gold.append(Triple(triple.pivot, triple.comparison, triple.attribute, label))
     if not gold:
         raise DataFormatError("empty gold set", path=path)
     return gold

@@ -57,7 +57,8 @@ class VisualStore:
     - `relationships`: sorted [image, subject, predicate, object]s,
       duplicates kept.
 
-    Only `sor_index` is derived, at the first SOR query."""
+    Only `sor_index` is derived, at the first SOR query. `_grounding` finds
+    the regions behind an answer, which `holds` tests and `has_property` lists."""
 
     def __init__(self, oa_index, relationships, skipped=0):
         self.oa_index = oa_index
@@ -80,22 +81,20 @@ class VisualStore:
     def count(self, object_lemma: str, attribute_lemma: str) -> int:
         return len(self._regions(object_lemma, attribute_lemma)) // 2
 
-    def has_property(self, obj: Term, attribute: Term, min_count: int = 1,
-                     use_sor: bool = False) -> MembershipResult:
-        """True iff the pair co-occurs in >= min_count regions, or (with
-        use_sor) a related object in the same image does."""
-        direct = self._regions(obj.lemma, attribute.lemma)
+    def _grounding(self, obj, attribute, min_count, use_sor):
+        """(object, its [image, region, ...], via) of obj's own regions, else, with use_sor,
+        of the first relationship whose other end has min_count in its image; else None."""
+        direct = self._regions(obj, attribute)
         if len(direct) >= 2 * min_count:
-            return MembershipResult(member=True, evidence=(
-                RegionEvidence(obj.lemma, attribute.lemma, _pairs(direct)),))
+            return obj, direct, None
         if use_sor:
             # relative -> its regions with the attribute and their images, never obj's
-            found = {obj.lemma: ((), ())}
-            for rel in self.sor_index.get(obj.lemma, ()):
+            found = {obj: ((), ())}
+            for rel in self.sor_index.get(obj, ()):
                 image, subject, _, object_ = rel
                 for other in (subject, object_):
                     if other not in found:
-                        regions = self._regions(other, attribute.lemma)
+                        regions = self._regions(other, attribute)
                         found[other] = regions, regions[::2]
                     regions, images = found[other]
                     if not regions:
@@ -104,8 +103,21 @@ class VisualStore:
                     start = bisect_left(images, image)
                     end = bisect_right(images, image, start)
                     if end - start >= min_count:
-                        return MembershipResult(member=True, evidence=(RegionEvidence(
-                            other, attribute.lemma, _pairs(regions[2 * start:2 * end]), via=rel),))
+                        return other, regions[2 * start:2 * end], rel
+        return None
+
+    def holds(self, obj: Term, attribute: Term, min_count: int = 1, use_sor: bool = False) -> bool:
+        """`has_property(...).member`, without the evidence."""
+        return self._grounding(obj.lemma, attribute.lemma, min_count, use_sor) is not None
+
+    def has_property(self, obj: Term, attribute: Term, min_count: int = 1,
+                     use_sor: bool = False) -> MembershipResult:
+        """True iff the pair co-occurs in >= min_count regions, or (with
+        use_sor) a related object in the same image does."""
+        if found := self._grounding(obj.lemma, attribute.lemma, min_count, use_sor):
+            other, regions, via = found
+            return MembershipResult(member=True, evidence=(
+                RegionEvidence(other, attribute.lemma, _pairs(regions), via),))
         return MembershipResult(member=False)
 
     def to_dict(self):

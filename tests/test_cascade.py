@@ -125,6 +125,30 @@ def test_batch_equals_map(stores, lemma_table):
     assert classify_batch([], stores) == ([], {c: [] for c in COMPONENTS})
 
 
+
+def test_batch_asks_evidence_of_the_deciding_pivot_alone(stores, lemma_table, monkeypatch):
+    asked = []
+    for cls, name in ((definitions.DefinitionStore, "definitions"),
+                      (commonsense.CkgStore, "commonsense"), (visual.VisualStore, "visual")):
+        def counted(store, term, attribute, *args, _name=name, _query=cls.has_property, **kwargs):
+            asked.append((_name, term, attribute))
+            return _query(store, term, attribute, *args, **kwargs)
+        monkeypatch.setattr(cls, "has_property", counted)
+    triples = [triple(p, c, a, lemma_table)
+               for p in ("apple", "brandy", "cat", "cognac", "planet")
+               for c in ("banana", "whiskey", "lion", "moon")
+               for a in ("red", "wine", "whiskers", "french", "body")]
+    for order in itertools.permutations(COMPONENTS):
+        for extra in ({}, {"dbm_max_depth": 0, "vfm_use_sor": True}):
+            asked.clear()
+            results, bitmaps = classify_batch(triples, stores, CascadeConfig(order, **extra))
+            # stage by stage, once per positive verdict, for its deciding pivot
+            assert asked == [(STAGES[c].store, t.pivot, t.attribute)
+                             for c in order for t, v in results if v.deciding_component == c]
+            assert len(asked) == sum(v.discriminative for _, v in results)
+            # where a stage fires after another decided, it fires without evidence
+            assert len(asked) < sum(map(sum, bitmaps.values()))
+
 def test_bitmaps_match_standalone(stores, lemma_table):
     triples = [triple(p, c, a, lemma_table)
                for p in ("apple", "brandy", "cat")

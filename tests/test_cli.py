@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import discrimattr
 from discrimattr import cli, commonsense, definitions, visual
 from discrimattr.cli import _write_verdicts, load_config, main
-from discrimattr.errors import ConfigError
+from discrimattr.errors import ConfigError, DataFormatError
 from discrimattr.evaluation import load_annotations, load_gold, read_triples
 from discrimattr.text import load_lemma_table
 
@@ -176,6 +176,17 @@ def test_classify_wrong_arity_exits_1(built, capsys):
     assert main(["classify", "--config", str(cfg), "a", "b"]) == 1
 
 
+def test_classify_with_a_triple_and_a_triples_file_exits_1_naming_both(built, tmp_path, capsys):
+    cfg, out = built
+    tf = tmp_path / "triples.csv"
+    tf.write_text("cat,lion,whiskers\n", encoding="utf-8")
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red",
+                 "--triples-file", str(tf)]) == 1
+    err = capsys.readouterr().err
+    assert "triple" in err and "--triples-file" in err
+    assert not (out / "verdicts.jsonl").exists()
+
+
 def test_manifest_mismatch_refuses(built, tmp_path, capsys):
     cfg, out = built
     # point the manifest at a modified copy of one input
@@ -308,6 +319,16 @@ def test_evaluate_holds_one_decoded_store_at_a_time(built, monkeypatch, capsys):
     assert live == [0, 0, 0, 0, 1, 2]
     assert main(["explain", "--config", str(cfg), "apple", "banana", "red"]) == 0
     assert len(live) == 6
+
+
+def test_one_store_after_a_failed_decode_decodes_the_next_store_asked_for(built):
+    _, out = built
+    stores = cli._OneStore(out)
+    assert isinstance(stores.definitions, definitions.DefinitionStore)
+    (out / "visual.index.json").write_text("{", encoding="utf-8")
+    with pytest.raises(DataFormatError):
+        stores.visual
+    assert isinstance(stores.definitions, definitions.DefinitionStore)
 
 
 def test_build_holds_one_ingested_store_at_a_time(tmp_path, monkeypatch, capsys):

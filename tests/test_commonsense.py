@@ -141,6 +141,17 @@ def test_evidence_in_assertion_order(assertions):
             assert [(e.relation, e.start, e.end, e.weight, e.direction) for e in got] == brute
 
 
+
+@given(assertion_sets)
+def test_holds_is_the_membership_of_has_property(assertions):
+    # the drawn assertions run both ways between two concepts and loop on one;
+    # one self-loop is always there
+    store = CkgStore.build(assertions + [("RelatedTo", "cold", "cold", 1.0)])
+    queried = concept_names + ["zebra"]
+    for a in queried:
+        for b in queried:
+            assert store.holds(term(a), term(b)) == store.has_property(term(a), term(b)).member
+
 def test_index_form_is_the_store_form(ckg_store):
     data = ckg_store.to_dict()
     assert data["edges"] is ckg_store.edges

@@ -167,6 +167,24 @@ def test_reloaded_store_answers_like_built(defs, lemma_table, stopwords):
                     built.has_property(term(t), term(a), depth)
 
 
+
+@given(defs=definition_sets, cycle=st.permutations(nouns[:3]))
+def test_holds_is_the_membership_of_has_property(defs, cycle, lemma_table, stopwords):
+    # the drawn supertypes may loop, and one cycle through three nouns always does
+    raw = [(t, sense, segments, (None, None)) for (t, sense), segments in defs.items()]
+    raw += [(child, "cycle", [("supertype", parent)], (None, None))
+            for child, parent in zip(cycle, cycle[1:] + cycle[:1])]
+    lemmas = ["ant", "bee", "cow", "apple", "red", "whisker", "the", "big", "zebra"]
+    built = _build_store(raw, lemma_table, stopwords)
+    walks = {(t, depth): built.expand(term(t), depth) for t in lemmas for depth in range(5)}
+    for store in (built, reload_definitions(built)):
+        # `holds` first, so `has_property` reads the supertype walks it kept
+        held = {(t, a, depth): store.holds(term(t), term(a), depth)
+                for t in lemmas for a in lemmas for depth in range(5)}
+        assert held == {(t, a, depth): store.has_property(term(t), term(a), depth).member
+                        for t, a, depth in held}
+        assert {key: store.expand(term(key[0]), key[1]) for key in walks} == walks
+
 def test_index_form_is_the_store_form(definition_store):
     data = definition_store.to_dict()
     assert data["records"] is definition_store.records

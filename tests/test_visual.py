@@ -257,6 +257,22 @@ def test_reloaded_store_answers_like_built(regions, relationships):
                         built.has_property(term(o), term(a), min_count, use_sor)
 
 
+
+@given(region_sets, relationship_sets)
+def test_holds_is_the_membership_of_has_property(regions, relationships):
+    builder = _Builder({}, set())
+    for region in regions:
+        builder.add_region(*region)
+    for rel in relationships + [("1", "x", "on", "x"), ("2", "cat", "on", "cat")]:
+        builder.add_relationship(*rel)  # two self-relationships
+    store = builder.finish()
+    for o in objects + ["dog"]:
+        for a in attributes + ["blue"]:
+            for min_count in (1, 2, 3):
+                for use_sor in (False, True):
+                    assert store.holds(term(o), term(a), min_count, use_sor) == \
+                        store.has_property(term(o), term(a), min_count, use_sor).member
+
 def _regions(store, o, a):
     """The [image, region] pairs of (o, a), read from the flat list the store holds."""
     flat = store.oa_index.get(o, {}).get(a, [])
