@@ -93,7 +93,7 @@ class StoreSet(NamedTuple):
 
 
 class Stage(NamedTuple):
-    """One knowledge component: the store it asks, its membership queries,
+    """One knowledge component: the store it asks and with which options,
     its evidence type and the template that explains a verdict it decides."""
 
     name: str
@@ -101,8 +101,7 @@ class Stage(NamedTuple):
     template_id: str
     template: str
     store: str  # the `StoreSet` field of the store it asks
-    query: Callable  # (store, term, attribute, config) -> MembershipResult
-    holds: Callable  # (store, term, attribute, config) -> query(...).member, without evidence
+    ask: Callable  # (store method, term, attribute, config) -> method(term, attribute, options)
     evidence_type: type  # decodes stored evidence with `from_dict`
     slots: Callable  # evidence tuple -> the template's evidence slots
 
@@ -138,9 +137,7 @@ STAGES = {s.name: s for s in (
         "\"{text}\", while no definition of '{comparison}' (or of its supertypes) "
         "mentions '{attribute}'.",
         "definitions",
-        lambda store, term, attribute, config: store.has_property(
-            term, attribute, max_depth=config.dbm_max_depth),
-        lambda store, term, attribute, config: store.holds(term, attribute, config.dbm_max_depth),
+        lambda method, term, attribute, config: method(term, attribute, config.dbm_max_depth),
         DefinitionEvidence, _dbm_slots,
     ),
     Stage(
@@ -148,9 +145,7 @@ STAGES = {s.name: s for s in (
         "'{attribute}' is discriminative for '{pivot}' versus '{comparison}': "
         "the knowledge graph contains the edge {start} -{relation}-> {end}, "
         "while no edge links '{comparison}' and '{attribute}'.",
-        "commonsense",
-        lambda store, term, attribute, config: store.has_property(term, attribute),
-        lambda store, term, attribute, config: store.holds(term, attribute),
+        "commonsense", lambda method, term, attribute, config: method(term, attribute),
         EdgeEvidence, _ckg_slots,
     ),
     Stage(
@@ -159,10 +154,8 @@ STAGES = {s.name: s for s in (
         "'{attribute}' co-occurs with '{evidence_object}'{via} in {n} image "
         "region(s) ({regions}), and never with '{comparison}'.",
         "visual",
-        lambda store, term, attribute, config: store.has_property(
-            term, attribute, min_count=config.vfm_min_count, use_sor=config.vfm_use_sor),
-        lambda store, term, attribute, config: store.holds(
-            term, attribute, min_count=config.vfm_min_count, use_sor=config.vfm_use_sor),
+        lambda method, term, attribute, config: method(
+            term, attribute, config.vfm_min_count, config.vfm_use_sor),
         RegionEvidence, _vfm_slots,
     ),
 )}
@@ -171,7 +164,7 @@ STAGES = {s.name: s for s in (
 def member(component, term, attribute, stores: StoreSet, config: CascadeConfig) -> MembershipResult:
     """One component's membership answer for (attribute, term)."""
     stage = STAGES[component]
-    return stage.query(getattr(stores, stage.store), term, attribute, config)
+    return stage.ask(getattr(stores, stage.store).has_property, term, attribute, config)
 
 
 def render_explanation(triple: Triple, component: str, evidence: tuple) -> str:
@@ -185,16 +178,12 @@ def render_explanation(triple: Triple, component: str, evidence: tuple) -> str:
     )
 
 
-def _fire(component, triple: Triple, stores: StoreSet, config: CascadeConfig):
-    """The pivot's membership result when the stage fires for the triple
-    (attr in pivot, attr not in comparison), else None. The comparison is
-    asked only when the pivot holds."""
-    pivot_result = member(component, triple.pivot, triple.attribute, stores, config)
-    if pivot_result.member and not member(
-        component, triple.comparison, triple.attribute, stores, config
-    ).member:
-        return pivot_result
-    return None
+def _fires(stage: Stage, store, triple: Triple, config: CascadeConfig) -> bool:
+    """Whether the stage fires for the triple: attr in pivot, attr not in
+    comparison. The comparison is asked only when the pivot holds."""
+    pivot, comparison, attribute, _ = triple
+    return stage.ask(store.holds, pivot, attribute, config) \
+        and not stage.ask(store.holds, comparison, attribute, config)
 
 
 def classify(triple: Triple, stores: StoreSet,
@@ -202,16 +191,19 @@ def classify(triple: Triple, stores: StoreSet,
     """Run the cascade; first stage with (attr in pivot) and (attr not in
     comparison) decides. No stage firing means not discriminative.
 
-    `fired`, when given, maps every component to what `_fire` returned for
-    this triple, so a caller that has asked every stage already does not
-    ask again; past the first stage that fires, only None is read."""
+    `fired`, when given, maps every component to the pivot's membership
+    result if that stage fires for this triple, else None, so a caller that
+    has asked every stage already does not ask again. Entries after the
+    first that is not None are never read."""
     for component in config.stage_order:
-        if fired is None:
-            pivot_result = _fire(component, triple, stores, config)
-        else:
+        stage = STAGES[component]
+        if fired is not None:
             pivot_result = fired[component]
+        elif _fires(stage, getattr(stores, stage.store), triple, config):
+            pivot_result = member(component, triple.pivot, triple.attribute, stores, config)
+        else:
+            pivot_result = None
         if pivot_result is not None:
-            stage = STAGES[component]
             return Verdict(
                 discriminative=True,
                 deciding_component=component,
@@ -240,14 +232,14 @@ def classify_batch(triples, stores: StoreSet, config: CascadeConfig = CascadeCon
     only for the deciding pivot; verdicts and bitmaps derive from the answers.
     """
     pending = [True] * len(triples)  # no stage has decided the triple yet
-    fired = {}  # what `_fire` returns, but True where an earlier stage decided
+    fired = {}  # as `classify` reads it, but False where an earlier stage decided
     for component in config.stage_order:
         stage, answers = STAGES[component], fired.setdefault(component, [])
         store = getattr(stores, stage.store)
-        for i, (pivot, comparison, attribute, _) in enumerate(triples):
-            if stage.holds(store, pivot, attribute, config) \
-                    and not stage.holds(store, comparison, attribute, config):
-                answers.append(stage.query(store, pivot, attribute, config) if pending[i] else True)
+        for i, triple in enumerate(triples):
+            if _fires(stage, store, triple, config):
+                answers.append(pending[i] and stage.ask(
+                    store.has_property, triple.pivot, triple.attribute, config))
                 pending[i] = False
             else:
                 answers.append(None)

@@ -377,12 +377,12 @@ def cmd_evaluate(cfg) -> int:
         raise ConfigError("evaluate requires a gold file (config key 'gold' or --gold)")
     out = Path(cfg.output_dir)
     _check_manifest(cfg, out)
-    lemmas = text.Lemmas(_load_lemma_table(cfg))  # one memo for the gold and annotation reads
-    gold = evaluation.load_gold(cfg.gold, lemmas)
+    terms = evaluation.Terms(_load_lemma_table(cfg))  # one memo for the gold and annotation reads
+    gold = evaluation.load_gold(cfg.gold, terms)
     annotations = None
     if cfg.annotations:
         if Path(cfg.annotations).exists():
-            annotations = evaluation.load_annotations(cfg.annotations, lemmas)
+            annotations = evaluation.load_annotations(cfg.annotations, terms)
         else:
             print(f"notice: annotation file {cfg.annotations} not found; category tables skipped",
                   file=sys.stderr)

@@ -24,12 +24,21 @@ OVERLAP_GROUPS = (*itertools.combinations(COMPONENTS, 2), COMPONENTS)
 HEADER = ["pivot", "comparison", "attribute"]
 
 
+class Terms(Lemmas):
+    """A `Lemmas` memo that keeps each name's `Term`, not its lemma, so that
+    reads sharing one make one `Term` per distinct cell."""
+
+    def __missing__(self, name):
+        lemma = super().__missing__(name)
+        self[name] = term = lemma and Term(name, lemma)
+        return term
+
+
 def read_triples(path, lemma_table, columns=None):
     """(line number, row, unlabeled `Triple`) of each row of a triple CSV, whose
     rows have exactly `columns` cells, or at least 3 when `columns` is None.
-    `lemma_table` may be a `Lemmas` memo of one, for reads to share."""
-    lemmas = lemma_table if isinstance(lemma_table, Lemmas) else Lemmas(lemma_table)
-    terms = {}  # stripped cell -> its Term: one per distinct cell of this read
+    `lemma_table` may be a `Terms` memo of one, for reads to share."""
+    terms = lemma_table if isinstance(lemma_table, Terms) else Terms(lemma_table)
     with open_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or lineno == 1 and [c.strip().lower() for c in row[:3]] == HEADER:
@@ -37,14 +46,12 @@ def read_triples(path, lemma_table, columns=None):
             if len(row) < 3 or columns and len(row) != columns:
                 raise DataFormatError(f"expected {columns or 'at least 3'} columns",
                                       path=path, line=lineno)
-            cells = [cell.strip() for cell in row[:3]]
-            for s in cells:
-                if s not in terms:
-                    try:  # on None, lemma_of raises why
-                        terms[s] = Term(s, lemmas[s] or lemma_of(s, lemmas.table))
-                    except ValueError as e:
-                        raise DataFormatError(f"invalid term: {e}", path=path, line=lineno)
-            yield lineno, row, Triple(*map(terms.__getitem__, cells))
+            try:
+                triple = Triple(*[terms[s] or lemma_of(s, terms.table)  # on None, it raises why
+                                  for s in map(str.strip, row[:3])])
+            except ValueError as e:
+                raise DataFormatError(f"invalid term: {e}", path=path, line=lineno)
+            yield lineno, row, triple
 
 
 def load_gold(path, lemma_table) -> list[Triple]:

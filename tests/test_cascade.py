@@ -125,7 +125,6 @@ def test_batch_equals_map(stores, lemma_table):
     assert classify_batch([], stores) == ([], {c: [] for c in COMPONENTS})
 
 
-
 def test_batch_asks_evidence_of_the_deciding_pivot_alone(stores, lemma_table, monkeypatch):
     asked = []
     for cls, name in ((definitions.DefinitionStore, "definitions"),
@@ -148,6 +147,13 @@ def test_batch_asks_evidence_of_the_deciding_pivot_alone(stores, lemma_table, mo
             assert len(asked) == sum(v.discriminative for _, v in results)
             # where a stage fires after another decided, it fires without evidence
             assert len(asked) < sum(map(sum, bitmaps.values()))
+            # classify, one triple at a time, asks for the same evidence
+            asked.clear()
+            assert [(t, classify(t, stores, CascadeConfig(order, **extra))) for t in triples] \
+                == results
+            assert asked == [(STAGES[v.deciding_component].store, t.pivot, t.attribute)
+                             for t, v in results if v.discriminative]
+
 
 def test_bitmaps_match_standalone(stores, lemma_table):
     triples = [triple(p, c, a, lemma_table)

@@ -141,7 +141,6 @@ def test_evidence_in_assertion_order(assertions):
             assert [(e.relation, e.start, e.end, e.weight, e.direction) for e in got] == brute
 
 
-
 @given(assertion_sets)
 def test_holds_is_the_membership_of_has_property(assertions):
     # the drawn assertions run both ways between two concepts and loop on one;
@@ -151,6 +150,7 @@ def test_holds_is_the_membership_of_has_property(assertions):
     for a in queried:
         for b in queried:
             assert store.holds(term(a), term(b)) == store.has_property(term(a), term(b)).member
+
 
 def test_index_form_is_the_store_form(ckg_store):
     data = ckg_store.to_dict()

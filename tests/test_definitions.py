@@ -167,7 +167,6 @@ def test_reloaded_store_answers_like_built(defs, lemma_table, stopwords):
                     built.has_property(term(t), term(a), depth)
 
 
-
 @given(defs=definition_sets, cycle=st.permutations(nouns[:3]))
 def test_holds_is_the_membership_of_has_property(defs, cycle, lemma_table, stopwords):
     # the drawn supertypes may loop, and one cycle through three nouns always does
@@ -184,6 +183,7 @@ def test_holds_is_the_membership_of_has_property(defs, cycle, lemma_table, stopw
         assert held == {(t, a, depth): store.has_property(term(t), term(a), depth).member
                         for t, a, depth in held}
         assert {key: store.expand(term(key[0]), key[1]) for key in walks} == walks
+
 
 def test_index_form_is_the_store_form(definition_store):
     data = definition_store.to_dict()

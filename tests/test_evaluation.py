@@ -2,11 +2,11 @@ import pytest
 
 from discrimattr import evaluation
 from discrimattr.errors import DataFormatError
-from discrimattr.evaluation import (build_report, confusion,
+from discrimattr.evaluation import (Terms, build_report, confusion,
                                     error_breakdown, load_annotations,
                                     load_gold, macro_f1, overlap_analysis,
                                     per_category_recall, read_triples, render_report)
-from discrimattr.text import Lemmas, lemma_of
+from discrimattr.text import lemma_of
 from discrimattr.types import Term, Triple
 
 from conftest import term
@@ -31,14 +31,23 @@ def test_memoized_reads_give_per_cell_terms(tmp_path, lemma_table):
     path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
     expected = [Triple(*(Term(s.strip(), lemma_of(s.strip(), lemma_table)) for s in row))
                 for row in rows]
-    lemmas = Lemmas(lemma_table)
+    lemmas = Terms(lemma_table)
     for table in (lemma_table, lemmas, lemmas):  # the memo is filled after the first read
         assert [t for _, _, t in read_triples(path, table)] == expected
     assert sorted(lemmas) == ["Apples", "Banana", "RED", "apples", "banana", "pear", "red"]
 
 
+def test_reads_sharing_a_memo_make_one_term_per_distinct_cell(tmp_path, lemma_table):
+    path = tmp_path / "triples.csv"
+    path.write_text("apple,banana,red\n apple,red,banana\n", encoding="utf-8")
+    terms = Terms(lemma_table)
+    reads = [[t for _, _, t in read_triples(path, terms)] for _ in range(2)]
+    cells = [t for read in reads for triple in read for t in triple[:3]]
+    assert len(cells) == 12 and len({id(t) for t in cells}) == 3
+
+
 def test_memoized_reads_report_an_invalid_term_at_its_own_line(tmp_path, lemma_table):
-    lemmas = Lemmas(lemma_table)
+    lemmas = Terms(lemma_table)
     for lineno in (3, 2):  # the second read finds "!!" in the memo
         path = tmp_path / f"triples{lineno}.csv"
         rows = ["apple,banana,red"] * (lineno - 1) + ["apple, !! ,red"]

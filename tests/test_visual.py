@@ -257,7 +257,6 @@ def test_reloaded_store_answers_like_built(regions, relationships):
                         built.has_property(term(o), term(a), min_count, use_sor)
 
 
-
 @given(region_sets, relationship_sets)
 def test_holds_is_the_membership_of_has_property(regions, relationships):
     builder = _Builder({}, set())
@@ -272,6 +271,7 @@ def test_holds_is_the_membership_of_has_property(regions, relationships):
                 for use_sor in (False, True):
                     assert store.holds(term(o), term(a), min_count, use_sor) == \
                         store.has_property(term(o), term(a), min_count, use_sor).member
+
 
 def _regions(store, o, a):
     """The [image, region] pairs of (o, a), read from the flat list the store holds."""
