@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import DataFormatError, open_text
@@ -52,13 +50,18 @@ class VisualStore:
     """Immutable after load; concurrent readers are safe. Built, persisted
     and queried in one form:
 
-    - `oa_index`: object -> {attribute -> [image, region, image, region, ...]},
-      the sorted, unique [image, region] pairs, flattened;
+    - `oa_index`: object -> {attribute -> "image<TAB>region image<TAB>region ..."},
+      the pair's sorted, unique [image, region] pairs in one string: a tab
+      joins a region's two ids, a space joins the regions. Ingest skips a
+      region whose image or region id holds a tab or a space, so a pair's
+      regions are counted by its tabs, and one image's regions are found by
+      searching the string for that image;
     - `relationships`: sorted [image, subject, predicate, object]s,
       duplicates kept.
 
     Only `sor_index` is derived, at the first SOR query. `_grounding` finds
-    the regions behind an answer, which `holds` tests and `has_property` lists."""
+    the regions behind an answer, which `holds` tests; `has_property` splits
+    only the string of the regions it returns."""
 
     def __init__(self, oa_index, relationships, skipped=0):
         self.oa_index = oa_index
@@ -76,34 +79,25 @@ class VisualStore:
         return index
 
     def _regions(self, object_lemma, attribute_lemma):
-        return self.oa_index.get(object_lemma, {}).get(attribute_lemma, ())
+        return self.oa_index.get(object_lemma, {}).get(attribute_lemma, "")
 
     def count(self, object_lemma: str, attribute_lemma: str) -> int:
-        return len(self._regions(object_lemma, attribute_lemma)) // 2
+        return self._regions(object_lemma, attribute_lemma).count("\t")
 
     def _grounding(self, obj, attribute, min_count, use_sor):
-        """(object, its [image, region, ...], via) of obj's own regions, else, with use_sor,
-        of the first relationship whose other end has min_count in its image; else None."""
+        """(object, its regions, via) of obj's own regions, else, with use_sor, of
+        the first relationship whose other end has min_count regions in its image;
+        else None. The regions are a pair string of the store's form, or a slice of one."""
         direct = self._regions(obj, attribute)
-        if len(direct) >= 2 * min_count:
+        if direct.count("\t") >= min_count:
             return obj, direct, None
         if use_sor:
-            # relative -> its regions with the attribute and their images, never obj's
-            found = {obj: ((), ())}
             for rel in self.sor_index.get(obj, ()):
-                image, subject, _, object_ = rel
-                for other in (subject, object_):
-                    if other not in found:
-                        regions = self._regions(other, attribute)
-                        found[other] = regions, regions[::2]
-                    regions, images = found[other]
-                    if not regions:
-                        continue
-                    # the pairs sort by image: this image's are one run of them
-                    start = bisect_left(images, image)
-                    end = bisect_right(images, image, start)
-                    if end - start >= min_count:
-                        return other, regions[2 * start:2 * end], rel
+                for other in (rel[1], rel[3]):
+                    if other != obj and (regions := self._regions(other, attribute)):
+                        run = _run(regions, rel[0])
+                        if run.count("\t") >= min_count:
+                            return other, run, rel
         return None
 
     def holds(self, obj: Term, attribute: Term, min_count: int = 1, use_sor: bool = False) -> bool:
@@ -129,23 +123,41 @@ class VisualStore:
         return cls(*layout(data, oa_index=dict, relationships=list, skipped=int))
 
 
-def _pairs(flat):
-    """[image, region, ...] as [[image, region], ...]"""
-    return list(map(list, zip(*[iter(flat)] * 2)))
+def _run(regions, image):
+    """The regions of `image` in the pair string `regions`, as a slice of it;
+    "" if it has none. The pairs sort by image, so an image's are one run,
+    and a pair begins at the string's start or after a space."""
+    head = image + "\t"
+    start = 0 if regions.startswith(head) else regions.find(" " + head) + 1
+    if not regions.startswith(head, start):
+        return ""
+    end = regions.find(" ", regions.rfind(" " + head) + 1)  # after the run's last pair
+    return regions[start:end] if end >= 0 else regions[start:]
+
+
+def _pairs(regions):
+    """A pair string as [[image, region], ...]"""
+    return [pair.split("\t") for pair in regions.split(" ")]
 
 
 def _is_id(value):
     return type(value) is str or type(value) is int
 
 
+def _is_region_id(value):
+    """An id a pair string can hold: an int, or a str with no tab or space."""
+    return type(value) is int or type(value) is str and "\t" not in value and " " not in value
+
+
 class _Builder:
     """Validates and indexes scene-graph records. A record with a missing or
-    non-str/int id, a name that is not a string or has no lemma, or
-    attributes that are not a list of strings is skipped and counted."""
+    non-str/int id, a region whose image or region id holds a tab or a space,
+    a name that is not a string or has no lemma, or attributes that are not
+    a list of strings is skipped and counted."""
 
     def __init__(self, lemma_table, stopwords):
         self.stopwords = stopwords
-        self.oa = {}  # object -> {attribute -> [image, region, ...]}, sorted in finish()
+        self.oa = {}  # object -> {attribute -> [image, region, ...]}, a pair string after finish()
         self.relationships = []  # [image, subject, predicate, object], sorted in finish()
         self.skipped = 0
         self._lemmas = {}  # attribute phrase -> its lemmas
@@ -156,7 +168,7 @@ class _Builder:
 
     def add_region(self, image_id, region_id, object_name, attributes):
         obj = self._lemma(object_name)
-        if obj is None or not _is_id(image_id) or not _is_id(region_id) \
+        if obj is None or not _is_region_id(image_id) or not _is_region_id(region_id) \
                 or type(attributes) is not list or not all(type(a) is str for a in attributes):
             self.skipped += 1
             return
@@ -177,11 +189,13 @@ class _Builder:
 
     def finish(self):
         for attrs in self.oa.values():
-            for regions in attrs.values():
+            for attribute, regions in attrs.items():
                 if len(regions) > 2:  # one region is sorted and unique as it is
                     # dedup in arrival order, mostly sorted already, so the sort is cheap
-                    pairs = dict.fromkeys(zip(regions[::2], regions[1::2]))
-                    regions[:] = chain.from_iterable(sorted(pairs))
+                    pairs = sorted(dict.fromkeys(zip(regions[::2], regions[1::2])))
+                    attrs[attribute] = " ".join(map("\t".join, pairs))
+                else:
+                    attrs[attribute] = "\t".join(regions)
         self.relationships.sort()
         return VisualStore(self.oa, self.relationships, skipped=self.skipped)
 

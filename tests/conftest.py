@@ -6,7 +6,7 @@ import pytest
 from discrimattr import load_assertions, load_definitions, load_scene_graphs
 from discrimattr.cascade import StoreSet
 from discrimattr.definitions import store_from_dict
-from discrimattr.text import load_lemma_table, load_stopwords
+from discrimattr.text import lemma_of, load_lemma_table, load_stopwords, normalize
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -77,6 +77,20 @@ def concepts_of(store):
     return sorted({c for _, start, end, _ in assertions_of(store) for c in (start, end)})
 
 
-def pairs_of(store):
-    """Every (object, attribute) pair of the VFM store's object-attribute index."""
-    return [(o, a) for o, attrs in store.oa_index.items() for a in attrs]
+def scene_regions():
+    """The region records of scene_regions.jsonl, as (image, region, object, attributes)."""
+    lines = (DATA / "scene_regions.jsonl").read_text(encoding="utf-8").splitlines()
+    return [(r["image"], r["region"], r["object"], r["attributes"])
+            for r in map(json.loads, filter(None, lines))]
+
+
+def pairs_of(regions, lemma_table, stopwords):
+    """(object, attribute) -> its sorted, unique [image, region]s, by brute force from
+    (image, region, object, attributes) region records, none of which ingest skips."""
+    pairs = {}
+    for image, region, obj, attributes in regions:
+        o = lemma_of(obj, lemma_table)
+        for attribute in attributes:
+            for a in normalize(attribute, lemma_table, stopwords):
+                pairs.setdefault((o, a), set()).add((str(image), str(region)))
+    return {pair: [list(r) for r in sorted(found)] for pair, found in sorted(pairs.items())}

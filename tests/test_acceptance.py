@@ -17,10 +17,11 @@ from discrimattr.cascade import CascadeConfig, classify, member
 from discrimattr.cli import main
 from discrimattr.evaluation import macro_f1, overlap_analysis
 from discrimattr.index import ExplicitVectorSpace
-from discrimattr.text import lemma_of, normalize
+from discrimattr.text import normalize
 from discrimattr.types import COMPONENTS, Term
 
-from conftest import assertions_of, concepts_of, pairs_of, reload_definitions, term
+from conftest import (assertions_of, concepts_of, pairs_of, reload_definitions, scene_regions,
+                      term)
 from test_cascade import random_stores, triple
 from test_evaluation import make_gold
 
@@ -93,15 +94,10 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
             assert res.member == brute
 
     # vfm membership vs brute-force scan of raw annotations
-    raw = [json.loads(l) for l in
-           (DATA / "scene_regions.jsonl").read_text(encoding="utf-8").splitlines() if l]
-    for o in {x for x, _ in pairs_of(visual_store)}:
-        for a in {x for _, x in pairs_of(visual_store)}:
-            brute = {
-                (str(r["image"]), str(r["region"])) for r in raw
-                if lemma_of(r["object"], lemma_table) == o
-                and any(a in normalize(s, lemma_table, stopwords) for s in r["attributes"])
-            }
+    vfm_pairs = pairs_of(scene_regions(), lemma_table, stopwords)
+    for o in {x for x, _ in vfm_pairs}:
+        for a in {x for _, x in vfm_pairs}:
+            brute = vfm_pairs.get((o, a), [])
             assert visual_store.count(o, a) == len(brute)
             assert visual_store.has_property(term(o, o), term(a, a)).member == bool(brute)
 
@@ -118,7 +114,7 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
     assert not ckg_store.has_property(term("banana"), term("red")).member
 
     # vfm threshold and SOR monotonicity
-    for (o, a) in pairs_of(visual_store) + [("lion", "whisker")]:
+    for (o, a) in [*vfm_pairs, ("lion", "whisker")]:
         prev = True
         for mc in range(1, 6):
             cur = visual_store.has_property(term(o, o), term(a, a), min_count=mc).member

@@ -262,17 +262,19 @@ def _index_format(number):
 
 @pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index,
                                      _index_format(2), _index_format(3), _index_format(4),
-                                     _index_format(5), _index_of_another_layout],
+                                     _index_format(5), _index_format(6), _index_of_another_layout],
                          ids=["manifest-without-index-format", "truncated-index",
                               "manifest-index-format-2", "manifest-index-format-3",
                               "manifest-index-format-4", "manifest-index-format-5",
-                              "index-of-another-layout"])
+                              "manifest-index-format-6", "index-of-another-layout"])
 def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
     cfg, out = built
     path = corrupt(out)
     capsys.readouterr()
     assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 2
-    assert str(path) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "rebuild the indexes" in err or "run `discrimattr build`" in err
 
 
 @pytest.mark.parametrize("store", ["definitions", "commonsense", "visual"])

@@ -10,7 +10,7 @@ from discrimattr.types import MembershipResult
 from discrimattr.visual import (RegionEvidence, VisualStore, _ArrayReader, _Builder,
                                 _load_visual_genome, load_scene_graphs)
 
-from conftest import pairs_of, term
+from conftest import pairs_of, scene_regions, term
 
 
 def test_hand_tallied_counts(visual_store):
@@ -55,8 +55,8 @@ def test_sor_inheritance(visual_store):
     assert not visual_store.has_property(term("window"), term("brown"), use_sor=True).member
 
 
-def test_threshold_monotonicity(visual_store):
-    pairs = pairs_of(visual_store) + [("lion", "whisker")]
+def test_threshold_monotonicity(visual_store, lemma_table, stopwords):
+    pairs = [*pairs_of(scene_regions(), lemma_table, stopwords), ("lion", "whisker")]
     for o, a in pairs:
         prev = True
         for mc in range(1, 6):
@@ -65,9 +65,10 @@ def test_threshold_monotonicity(visual_store):
             prev = cur
 
 
-def test_sor_superset(visual_store):
-    objects = set(visual_store.sor_index) | {o for o, _ in pairs_of(visual_store)}
-    attrs = {a for _, a in pairs_of(visual_store)}
+def test_sor_superset(visual_store, lemma_table, stopwords):
+    pairs = pairs_of(scene_regions(), lemma_table, stopwords)
+    objects = set(visual_store.sor_index) | {o for o, _ in pairs}
+    attrs = {a for _, a in pairs}
     for o in objects:
         for a in attrs:
             without = visual_store.has_property(term(o), term(a), use_sor=False).member
@@ -89,24 +90,15 @@ def test_sor_index_is_derived_at_the_first_sor_query(visual_store, data_dir, lem
     assert visual_store.sor_index  # the fixtures relate objects, so the index is not empty
 
 
-def test_oracle_equivalence(visual_store, data_dir, lemma_table, stopwords):
-    from discrimattr.text import lemma_of, normalize
-
-    raw = [json.loads(l) for l in
-           (data_dir / "scene_regions.jsonl").read_text(encoding="utf-8").splitlines() if l]
-    attrs = {a for _, a in pairs_of(visual_store)}
-    objects = {o for o, _ in pairs_of(visual_store)}
-    for o in objects:
-        for a in attrs:
-            brute = {
-                (str(r["image"]), str(r["region"]))
-                for r in raw
-                if lemma_of(r["object"], lemma_table) == o and any(
-                    a in normalize(attr, lemma_table, stopwords)
-                    for attr in r["attributes"]
-                )
-            }
-            assert visual_store.count(o, a) == len(brute)
+def test_oracle_equivalence(visual_store, lemma_table, stopwords):
+    pairs = pairs_of(scene_regions(), lemma_table, stopwords)
+    for o in {o for o, _ in pairs} | {"lion"}:
+        for a in {a for _, a in pairs}:
+            regions = pairs.get((o, a))
+            assert visual_store.count(o, a) == len(regions or ())
+            assert visual_store.has_property(term(o), term(a)) == (
+                MembershipResult(True, (RegionEvidence(o, a, regions),)) if regions
+                else MembershipResult(False))
 
 
 def test_evidence_groundedness(visual_store, data_dir):
@@ -157,6 +149,10 @@ def test_malformed_records_skipped(tmp_path, lemma_table, stopwords):
     '{"image": 1, "subject": "cat", "predicate": "on"}',
     '{"image": 1, "subject": 5, "predicate": "on", "object": "mat"}',
     '{"image": null, "subject": "cat", "predicate": "on", "object": "mat"}',
+    # a region id or image id that holds a separator of the store's pair strings
+    '{"image": "1 2", "region": 2, "object": "cat", "attributes": ["white"]}',
+    '{"image": 1, "region": "2\\t", "object": "cat", "attributes": ["white"]}',
+    '{"image": 1, "region": " ", "object": "cat", "attributes": ["white"]}',
 ])
 def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, record):
     p = tmp_path / "scenes.jsonl"
@@ -165,7 +161,8 @@ def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, recor
     store = load_scene_graphs([p], lemma_table, stopwords)
     assert store.count("cat", "black") == 1
     assert store.skipped == 1
-    assert pairs_of(store) == [("cat", "black")] and store.relationships == []
+    assert {o: list(attrs) for o, attrs in store.oa_index.items()} == {"cat": ["black"]}
+    assert store.relationships == []
 
 
 @pytest.mark.parametrize("images,skipped", [
@@ -189,6 +186,10 @@ def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, recor
                                          "object": {"name": "mat"}},
                                         {"predicate": "on", "subject": {"names": "cat"},
                                          "object": {"name": "mat"}}]}], 3),
+    ([{"image_id": "1\t", "objects": [{"object_id": 1, "names": ["cat"],
+                                      "attributes": ["white"]}]},
+      {"image_id": 1, "objects": [{"object_id": "1 2", "names": ["cat"], "attributes": ["white"]},
+                                  {"id": "\t", "names": ["cat"], "attributes": ["white"]}]}], 3),
 ])
 def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopwords,
                                                  images, skipped):
@@ -198,7 +199,43 @@ def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopword
     store = load_scene_graphs([p], lemma_table, stopwords)
     assert store.count("cat", "black") == 1
     assert store.skipped == skipped
-    assert pairs_of(store) == [("cat", "black")] and store.relationships == []
+    assert {o: list(attrs) for o, attrs in store.oa_index.items()} == {"cat": ["black"]}
+    assert store.relationships == []
+
+
+# ids a pair string holds as they are: ints, strings with neither a tab nor a
+# space (other whitespace is kept), and the empty string, which is nothing
+# beside its tab
+KEPT_IDS = [(1, 2), ("1", "x-2"), ("", ""), ("", "1"), (0, ""), ("a\nb", "\u00a0")]
+
+
+@pytest.mark.parametrize("visual_genome", [False, True])
+def test_int_and_separator_free_ids_kept(tmp_path, lemma_table, stopwords, visual_genome):
+    regions = [(image, region, "cat", ["black"]) for image, region in KEPT_IDS]
+    if visual_genome:
+        records = [{"image_id": image, "objects": [{"object_id": region, "names": [obj],
+                                                    "attributes": attrs}]}
+                   for image, region, obj, attrs in regions]
+        records.append({"image_id": "", "relationships": [
+            {"predicate": "near", "subject": {"name": "dog"}, "object": {"name": "cat"}}]})
+        text = json.dumps(records)
+    else:
+        records = [{"image": image, "region": region, "object": obj, "attributes": attrs}
+                   for image, region, obj, attrs in regions]
+        records.append({"image": "", "subject": "dog", "predicate": "near", "object": "cat"})
+        text = "".join(json.dumps(r) + "\n" for r in records)
+    path = tmp_path / "scenes.json"
+    path.write_text(text, encoding="utf-8")
+    store = load_scene_graphs([path], lemma_table, stopwords)
+    assert store.skipped == 0
+    black = pairs_of(regions, lemma_table, stopwords)[("cat", "black")]
+    assert store.count("cat", "black") == len(black) == len(KEPT_IDS)
+    assert store.has_property(term("cat"), term("black")).evidence[0].regions == black
+    # the dog inherits black in image "", where the cat has two regions
+    res = store.has_property(term("dog"), term("black"), min_count=2, use_sor=True)
+    assert res.evidence == (RegionEvidence("cat", "black", [["", ""], ["", "1"]],
+                                           ["", "dog", "near", "cat"]),)
+    assert not store.holds(term("dog"), term("black"), min_count=3, use_sor=True)
 
 
 def test_unreadable_file_errors(tmp_path, lemma_table, stopwords):
@@ -223,15 +260,15 @@ def test_repeated_attribute_lemma_counts_region_once(tmp_path):
     ]
     path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     store = load_scene_graphs([path], {"cats": "cat"}, set())
-    assert store.oa_index["cat"]["black"] == ["1", "5", "9", "1", "9", "2"]
-    for o, a in pairs_of(store):
-        regions = _regions(store, o, a)
-        assert all(a < b for a, b in zip(regions, regions[1:]))  # sorted and unique
+    assert store.oa_index["cat"]["black"] == "1\t5 9\t1 9\t2"
+    regions = [(r["image"], r["region"], r["object"], r["attributes"]) for r in rows]
+    for (o, a), found in pairs_of(regions, {"cats": "cat"}, set()).items():
+        assert store.has_property(term(o), term(a)).evidence[0].regions == found  # sorted, unique
 
 
 objects = ["cat", "mat", "x"]
 attributes = ["black", "round", "red"]
-images = st.sampled_from(["1", "2"])
+images = st.sampled_from(["1", "2"])  # each also a region id
 region_sets = st.lists(st.tuples(images, st.sampled_from(["1", "2", "3"]),
                                  st.sampled_from(objects),
                                  st.lists(st.sampled_from(attributes), max_size=3)),
@@ -273,49 +310,75 @@ def test_holds_is_the_membership_of_has_property(regions, relationships):
                         store.has_property(term(o), term(a), min_count, use_sor).member
 
 
-def _regions(store, o, a):
-    """The [image, region] pairs of (o, a), read from the flat list the store holds."""
-    flat = store.oa_index.get(o, {}).get(a, [])
-    return [list(pair) for pair in zip(flat[::2], flat[1::2])]
+def test_only_the_answers_pair_string_is_split(visual_store, lemma_table, stopwords):
+    splits = []
+
+    class Recorded(str):
+        def split(self, *args):
+            splits.append(str(self))
+            return super().split(*args)
+
+    store = VisualStore({o: {a: Recorded(regions) for a, regions in attrs.items()}
+                         for o, attrs in visual_store.oa_index.items()},
+                        visual_store.relationships)
+    pairs = pairs_of(scene_regions(), lemma_table, stopwords)
+    objects = set(store.sor_index) | {o for o, _ in pairs}
+    for o in objects:
+        for a in {a for _, a in pairs}:
+            for min_count in (1, 2):
+                found = store.holds(term(o), term(a), min_count, use_sor=True)
+                assert splits == []
+                res = store.has_property(term(o), term(a), min_count, use_sor=True)
+                assert res.member == found
+                # a direct answer splits its own pair string; an inherited one, a slice of
+                # the relative's string, so no string of the store
+                direct = res.member and res.evidence[0].via is None
+                assert splits == ([visual_store.oa_index[o][a]] if direct else [])
+                splits.clear()
 
 
-def _sor_scan(store, o, a, min_count):
-    """`has_property(o, a, min_count, use_sor=True)` by brute force: the direct
-    regions, else the first relationship naming `o`, in list order, whose other
-    endpoint has at least `min_count` regions with `a` in that image."""
-    direct = _regions(store, o, a)
+def _sor_scan(regions, relationships, o, a, min_count):
+    """`has_property(o, a, min_count, use_sor=True)` by brute force from the
+    region and relationship records, whose names are their own lemmas: the
+    direct regions, else the first relationship naming `o`, in sorted order,
+    whose other endpoint has at least `min_count` regions with `a` in that image."""
+    pairs = pairs_of(regions, {}, set())
+    direct = pairs.get((o, a), [])
     if len(direct) >= min_count:
         return MembershipResult(True, (RegionEvidence(o, a, direct),))
-    for rel in store.relationships:
+    for rel in sorted([str(image), *names] for image, *names in relationships):
         image, subject, _, object_ = rel
         for other in (subject, object_) if o in (subject, object_) else ():
-            regions = [r for r in _regions(store, other, a) if r[0] == image]
-            if other != o and len(regions) >= min_count:
-                return MembershipResult(True, (RegionEvidence(other, a, regions, via=rel),))
+            found = [r for r in pairs.get((other, a), []) if r[0] == image]
+            if other != o and len(found) >= min_count:
+                return MembershipResult(True, (RegionEvidence(other, a, found, via=rel),))
     return MembershipResult(False)
 
 
-# image ids that sort differently as strings and as numbers
-sor_images = st.sampled_from(["9", "10", "100"])
+# image ids that sort differently as strings and as numbers, one that ends
+# others ("0"), and region ids that equal an image id
+sor_images = st.sampled_from(["9", "10", "100", "0"])
 
 
-@given(st.lists(st.tuples(sor_images, st.sampled_from(["1", "2", "3"]), st.sampled_from(objects),
+@given(st.lists(st.tuples(sor_images, st.sampled_from(["1", "9", "10"]), st.sampled_from(objects),
                           st.lists(st.sampled_from(attributes), max_size=2)), max_size=12),
        st.lists(st.tuples(sor_images, st.sampled_from(objects), st.sampled_from(["on", "by"]),
                           st.sampled_from(objects)), max_size=8))
 def test_sor_answers_like_a_scan_of_the_relationships(regions, relationships):
+    regions = regions + regions[:2]  # some regions repeated
+    # related objects repeat, and one relationship relates an object to itself
+    relationships = relationships + relationships[:2] + [("10", "cat", "by", "cat")]
     builder = _Builder({}, set())
     for region in regions:
         builder.add_region(*region)
-    # related objects repeat, and one relationship relates an object to itself
-    for rel in relationships + relationships[:2] + [("10", "cat", "by", "cat")]:
+    for rel in relationships:
         builder.add_relationship(*rel)
     store = builder.finish()
     for o in objects + ["dog"]:
         for a in attributes:
-            for min_count in (1, 2):
+            for min_count in (1, 2, 3):
                 assert store.has_property(term(o), term(a), min_count, use_sor=True) == \
-                    _sor_scan(store, o, a, min_count)
+                    _sor_scan(regions, relationships, o, a, min_count)
 
 
 def _streamed(text, chunk_size):
@@ -392,14 +455,12 @@ def test_index_form_is_the_store_form(visual_store):
     assert reloaded.relationships is visual_store.relationships
     assert visual_store.relationships == [["3", "man", "under", "tree"],
                                           ["4", "window", "above", "table"]]
-    assert visual_store.oa_index["cat"]["whisker"] == ["2", "1", "2", "2", "3", "1"]
+    assert visual_store.oa_index["cat"]["whisker"] == "2\t1 2\t2 3\t1"
 
 
 def test_region_list_shared_by_its_pairs():
     builder = _Builder({}, set())
     builder.add_region(1, 2, "table", ["light brown"])
     store = builder.finish()
-    assert store.oa_index == {"table": {"light": ["1", "2"], "brown": ["1", "2"]}}
-    # the region's ids are held once, however many pairs name it
-    assert store.oa_index["table"]["light"][0] is store.oa_index["table"]["brown"][0]
-    assert store.oa_index["table"]["light"][1] is store.oa_index["table"]["brown"][1]
+    # each pair that names the region holds it in its own string
+    assert store.oa_index == {"table": {"light": "1\t2", "brown": "1\t2"}}
