@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 from .commonsense import CkgStore, EdgeEvidence
 from .definitions import DEFAULT_MAX_DEPTH, DefinitionEvidence, DefinitionStore
 from .errors import EvidenceError
-from .types import COMPONENTS, MembershipResult, Triple
+from .types import COMPONENTS, Triple
 from .visual import RegionEvidence, VisualStore
 
 
@@ -39,20 +39,15 @@ class _Verdict(NamedTuple):
     deciding_component: str | None = None
     explanation: Explanation | None = None
 
-    def to_dict(self, triple: Triple | None = None):
-        d = {
+    def to_dict(self, triple: Triple):
+        return {
+            "pivot": triple.pivot.lemma,
+            "comparison": triple.comparison.lemma,
+            "attribute": triple.attribute.lemma,
             "label": 1 if self.discriminative else 0,
             "deciding_component": self.deciding_component,
             "explanation": self.explanation.to_dict() if self.explanation else None,
         }
-        if triple is not None:
-            d = {
-                "pivot": triple.pivot.lemma,
-                "comparison": triple.comparison.lemma,
-                "attribute": triple.attribute.lemma,
-                **d,
-            }
-        return d
 
 
 # a NamedTuple's body may not define __new__, so the checked types subclass one, and
@@ -161,12 +156,6 @@ STAGES = {s.name: s for s in (
 )}
 
 
-def member(component, term, attribute, stores: StoreSet, config: CascadeConfig) -> MembershipResult:
-    """One component's membership answer for (attribute, term)."""
-    stage = STAGES[component]
-    return stage.ask(getattr(stores, stage.store).has_property, term, attribute, config)
-
-
 def render_explanation(triple: Triple, component: str, evidence: tuple) -> str:
     """Deterministic template rendering of a positive verdict's evidence."""
     if not evidence:
@@ -191,19 +180,16 @@ def classify(triple: Triple, stores: StoreSet,
     """Run the cascade; first stage with (attr in pivot) and (attr not in
     comparison) decides. No stage firing means not discriminative.
 
-    `fired`, when given, maps every component to the pivot's membership
-    result if that stage fires for this triple, else None, so a caller that
-    has asked every stage already does not ask again. Entries after the
-    first that is not None are never read."""
+    `fired` maps every component to the pivot's membership result if that
+    stage fires for this triple, else None, as `classify_batch` asks them.
+    Entries after the first that is not None are never read. Without it,
+    the triple is classified as a batch of one."""
+    if fired is None:
+        return classify_batch([triple], stores, config)[0][0][1]
     for component in config.stage_order:
-        stage = STAGES[component]
-        if fired is not None:
-            pivot_result = fired[component]
-        elif _fires(stage, getattr(stores, stage.store), triple, config):
-            pivot_result = member(component, triple.pivot, triple.attribute, stores, config)
-        else:
-            pivot_result = None
+        pivot_result = fired[component]
         if pivot_result is not None:
+            stage = STAGES[component]
             return Verdict(
                 discriminative=True,
                 deciding_component=component,

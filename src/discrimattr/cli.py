@@ -18,8 +18,8 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 
 # `hashlib` and `evaluation` load in the commands that use them: `explain` needs neither
-from . import cascade, commonsense, definitions, text, visual
-from .cascade import STAGES, CascadeConfig, StoreSet, classify_batch, render_explanation
+from . import commonsense, definitions, text, visual
+from .cascade import STAGES, CascadeConfig, classify_batch, render_explanation
 from .commonsense import CkgStore
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError, open_text
 from .index import FORMAT_VERSION, atomic_open, dump_json, load_json
@@ -269,12 +269,6 @@ def _load_store(out, name):
         return from_dict(load_json(out / STORE_FILES[name]))
 
 
-def _load_stores(cfg) -> StoreSet:
-    out = Path(cfg.output_dir)
-    _check_manifest(cfg, out)
-    return StoreSet(*(_load_store(out, name) for name in StoreSet._fields))
-
-
 class _OneStore:
     """The stores in `out`, each decoded when first asked for, one at a time."""
 
@@ -286,6 +280,13 @@ class _OneStore:
             self.store = self.name = None  # dropped, and unnamed, before the next decode
             self.store, self.name = _load_store(self.out, name), name
         return self.store
+
+
+def _load_stores(cfg) -> _OneStore:
+    """The built stores, once the manifest shows them current; none is decoded yet."""
+    out = Path(cfg.output_dir)
+    _check_manifest(cfg, out)
+    return _OneStore(out)
 
 
 def _term(surface, lemma_table):
@@ -322,10 +323,9 @@ def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
         triples = [triple for _, _, triple in read_triples(triples_file, lemma_table)]
     else:
         raise ConfigError("provide a triple (pivot comparison attribute) or --triples-file")
-    config = cfg.cascade_config()
-    results = [(t, cascade.classify(t, stores, config)) for t in triples]
-    out = Path(cfg.output_dir)
-    _write_verdicts(results, out)
+    results, _ = classify_batch(triples, stores, cfg.cascade_config())
+    del stores  # frees the store decoded last before the verdicts are written
+    _write_verdicts(results, Path(cfg.output_dir))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for triple, verdict in results:
         writer.writerow(_semeval_row(triple, verdict))
@@ -375,8 +375,7 @@ def cmd_evaluate(cfg) -> int:
     from . import evaluation
     if not cfg.gold:
         raise ConfigError("evaluate requires a gold file (config key 'gold' or --gold)")
-    out = Path(cfg.output_dir)
-    _check_manifest(cfg, out)
+    stores = _load_stores(cfg)
     terms = evaluation.Terms(_load_lemma_table(cfg))  # one memo for the gold and annotation reads
     gold = evaluation.load_gold(cfg.gold, terms)
     annotations = None
@@ -386,9 +385,11 @@ def cmd_evaluate(cfg) -> int:
         else:
             print(f"notice: annotation file {cfg.annotations} not found; category tables skipped",
                   file=sys.stderr)
-    results, bitmaps = classify_batch(gold, _OneStore(out), cfg.cascade_config())
+    results, bitmaps = classify_batch(gold, stores, cfg.cascade_config())
+    del stores  # frees the store decoded last before the report and the verdicts are built
     combined = [verdict.discriminative for _, verdict in results]
     report = evaluation.build_report(bitmaps, combined, gold, annotations)
+    out = Path(cfg.output_dir)
     _write_verdicts(results, out)
     dump_json(report, out / "report.json")
     rendered = evaluation.render_report(report)

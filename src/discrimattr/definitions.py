@@ -72,17 +72,13 @@ class DefinitionStore:
         self.space = space
         self._lineages = {}  # (lemma, max_depth) -> _lineage's answer
 
-    def expand(self, term: Term, max_depth: int = DEFAULT_MAX_DEPTH):
-        """Breadth-first supertype expansion.
-
-        Returns (lemma, path) pairs for the lemmas that have records: the
-        term's own first, then ancestors by (depth, lemma) order. Cycles are
-        visited once. `path` runs from the queried lemma to `lemma`.
-        """
-        return list(zip(*self._lineage(term, max_depth)))
-
     def _lineage(self, term, max_depth):
-        """`expand`'s lemmas and paths, as two tuples, kept for (term.lemma, max_depth)."""
+        """Breadth-first supertype expansion, kept for (term.lemma, max_depth).
+
+        Returns the lemmas that have records and their paths, as two tuples:
+        the term's own first, then ancestors by (depth, lemma) order. Cycles
+        are visited once. A path runs from the queried lemma to its lemma.
+        """
         if (term.lemma, max_depth) in self._lineages:
             return self._lineages[term.lemma, max_depth]
         out = []

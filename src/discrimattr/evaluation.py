@@ -127,15 +127,6 @@ def per_class_metrics(predictions, gold) -> dict:
     }
 
 
-def macro_f1(predictions: list, gold: list) -> float:
-    """Unweighted mean of positive- and negative-class F1."""
-    return _mean_f1(per_class_metrics(predictions, gold))
-
-
-def _mean_f1(metrics):
-    return (metrics["positive"]["f1"] + metrics["negative"]["f1"]) / 2
-
-
 def per_category_recall(component_preds: dict, combined_preds: list,
                         gold: list, annotations: dict) -> dict:
     """Recall over positive gold triples per category, per component and
@@ -248,7 +239,8 @@ def build_report(component_preds, combined_preds, gold, annotations=None) -> dic
     errors = error_breakdown(component_preds, gold)
     errors["combined"] = _errors(metrics["confusion"], combined_preds, gold)
     return {
-        "macro_f1": _mean_f1(metrics),
+        # the unweighted mean of positive- and negative-class F1
+        "macro_f1": (metrics["positive"]["f1"] + metrics["negative"]["f1"]) / 2,
         "metrics": metrics,
         "errors": errors,
         "category_recall": category_recall,

@@ -81,9 +81,6 @@ class VisualStore:
     def _regions(self, object_lemma, attribute_lemma):
         return self.oa_index.get(object_lemma, {}).get(attribute_lemma, "")
 
-    def count(self, object_lemma: str, attribute_lemma: str) -> int:
-        return self._regions(object_lemma, attribute_lemma).count("\t")
-
     def _grounding(self, obj, attribute, min_count, use_sor):
         """(object, its regions, via) of obj's own regions, else, with use_sor, of
         the first relationship whose other end has min_count regions in its image;

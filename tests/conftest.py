@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from discrimattr import load_assertions, load_definitions, load_scene_graphs
-from discrimattr.cascade import StoreSet
+from discrimattr.cascade import STAGES, StoreSet
 from discrimattr.definitions import store_from_dict
 from discrimattr.text import lemma_of, load_lemma_table, load_stopwords, normalize
 
@@ -59,6 +59,21 @@ def term(surface, lemma=None):
     from discrimattr.types import Term
 
     return Term(surface, lemma if lemma is not None else surface.lower())
+
+
+def member(component, term, attribute, stores, config):
+    """One component's membership answer for (attribute, term), with its evidence,
+    asked of its store directly, outside any stage order or batch: the oracle that
+    the cascade's verdicts are checked against."""
+    stage = STAGES[component]
+    return stage.ask(getattr(stores, stage.store).has_property, term, attribute, config)
+
+
+def regions_of(store, obj, attribute):
+    """The regions the visual store grounds the (obj, attribute) lemmas in, from
+    `has_property`'s evidence without SOR; [] for a pair it has none of."""
+    res = store.has_property(term(obj), term(attribute))
+    return res.evidence[0].regions if res.member else []
 
 
 def reload_definitions(store):

@@ -13,17 +13,17 @@ from pathlib import Path
 import pytest
 
 from discrimattr import definitions
-from discrimattr.cascade import CascadeConfig, classify, member
+from discrimattr.cascade import CascadeConfig, classify
 from discrimattr.cli import main
-from discrimattr.evaluation import macro_f1, overlap_analysis
+from discrimattr.evaluation import overlap_analysis
 from discrimattr.index import ExplicitVectorSpace
 from discrimattr.text import normalize
 from discrimattr.types import COMPONENTS, Term
 
-from conftest import (assertions_of, concepts_of, pairs_of, reload_definitions, scene_regions,
-                      term)
+from conftest import (assertions_of, concepts_of, member, pairs_of, regions_of,
+                      reload_definitions, scene_regions, term)
 from test_cascade import random_stores, triple
-from test_evaluation import make_gold
+from test_evaluation import macro_f1, make_gold
 
 DATA = Path(__file__).parent / "data"
 
@@ -98,7 +98,7 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
     for o in {x for x, _ in vfm_pairs}:
         for a in {x for _, x in vfm_pairs}:
             brute = vfm_pairs.get((o, a), [])
-            assert visual_store.count(o, a) == len(brute)
+            assert regions_of(visual_store, o, a) == brute
             assert visual_store.has_property(term(o, o), term(a, a)).member == bool(brute)
 
     # ckg membership vs linear scan, and negation exclusion
@@ -127,8 +127,10 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
     # supertype-expansion cycle termination
     raw_defs = [("a", "s", [("supertype", "b")], (None, None)),
                 ("b", "s", [("supertype", "a")], (None, None))]
-    cyc = definitions._build_store(raw_defs, lemma_table, stopwords)
-    assert [lemma for lemma, _ in cyc.expand(term("a"), max_depth=10)] == ["a", "b"]
+    cyc = definitions._build_store(raw_defs, lemma_table, set())  # "a" is a test stopword
+    # a's walk reaches b, whose definition names a, once
+    assert [e.path for e in cyc.has_property(term("a"), term("a"), max_depth=10).evidence] \
+        == [("a", "b")]
 
     elapsed = time.monotonic() - started
     assert elapsed < 10, f"property suite too slow: {elapsed:.1f}s"

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from discrimattr import commonsense, definitions, visual
 from discrimattr.cascade import (STAGES, CascadeConfig, StoreSet, classify,
-                                 classify_batch, member, render_explanation)
+                                 classify_batch, render_explanation)
 from discrimattr.errors import EvidenceError
 from discrimattr.types import COMPONENTS, Triple
 
-from conftest import term
+from conftest import member, term
 
 
 def triple(p, c, a, lemma_table=None):

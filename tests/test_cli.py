@@ -96,6 +96,21 @@ def test_classify_triples_file_order_preserved(built, tmp_path, capsys):
     assert lines == ["planet,moon,body,0", "apple,banana,red,1", "cat,lion,whiskers,1"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--vfm-use-sor", "--stage-order", "VFM,CKG,DBM"]])
+def test_classify_of_a_triples_file_writes_what_evaluate_writes(built, capsys, flags):
+    cfg, out = built
+    written = []
+    for command in (["classify", "--triples-file", str(DATA / "gold.csv")],
+                    ["evaluate", "--gold", str(DATA / "gold.csv")]):
+        (out / "verdicts.jsonl").unlink(missing_ok=True)
+        (out / "semeval.csv").unlink(missing_ok=True)
+        assert main([*command, "--config", str(cfg), *flags]) == 0
+        written.append([(out / f).read_bytes() for f in ("verdicts.jsonl", "semeval.csv")])
+    assert written[0] == written[1]
+    verdicts = [json.loads(line) for line in written[0][0].splitlines()]
+    assert {v["deciding_component"] for v in verdicts} == {None, "DBM", "CKG", "VFM"}
+
+
 def test_semeval_csv_quotes_surfaces_with_commas(built, tmp_path, capsys):
     cfg, out = built
     tf = tmp_path / "triples.csv"
@@ -292,15 +307,17 @@ def test_evaluate_on_a_truncated_index_exits_2_and_keeps_its_outputs(built, caps
 
 
 def _live_stores_at_each_call(monkeypatch, *functions):
-    """Wraps each `(owner, name)` function that returns a store. The list returned
-    gets, at each call, how many stores returned by earlier calls are still alive."""
+    """Wraps each `(owner, name)` function that returns a store, or None, as a writer
+    does. The list returned gets, at each call, how many stores returned by earlier
+    calls are still alive."""
     stores, live = [], []
 
     def wrap(function):
         def counted(*args, **kwargs):
             live.append(sum(ref() is not None for ref in stores))
             store = function(*args, **kwargs)
-            stores.append(weakref.ref(store))
+            if store is not None:
+                stores.append(weakref.ref(store))
             return store
         return counted
 
@@ -313,14 +330,16 @@ def test_evaluate_holds_one_decoded_store_at_a_time(built, monkeypatch, capsys):
     cfg, _ = built
     live = _live_stores_at_each_call(monkeypatch, (definitions, "store_from_dict"),
                                      (commonsense.CkgStore, "from_dict"),
-                                     (visual.VisualStore, "from_dict"))
+                                     (visual.VisualStore, "from_dict"), (cli, "_write_verdicts"))
+    # three decodes, then the verdicts written with no store left
     assert main(["evaluate", "--config", str(cfg)]) == 0
-    assert live == [0, 0, 0]
-    # classify decodes and holds all three; explain decodes none
+    assert live == [0, 0, 0, 0]
+    # classify, of a triple or of a file, decodes as evaluate does; explain decodes none
     assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
-    assert live == [0, 0, 0, 0, 1, 2]
+    assert main(["classify", "--config", str(cfg), "--triples-file", str(DATA / "gold.csv")]) == 0
+    assert live == [0] * 12
     assert main(["explain", "--config", str(cfg), "apple", "banana", "red"]) == 0
-    assert len(live) == 6
+    assert len(live) == 12
 
 
 def test_one_store_after_a_failed_decode_decodes_the_next_store_asked_for(built):

@@ -19,6 +19,15 @@ def write_jsonl(path, records):
     return path
 
 
+def evidence_paths(store, t, max_depth):
+    """The supertype paths of `has_property`'s evidence for `t`, over every indexed
+    attribute: one per lemma of the expansion that has an indexed segment, by
+    (depth, lemma)."""
+    return sorted({e.path for a in store.space.postings
+                   for e in store.has_property(term(t), term(a), max_depth).evidence},
+                  key=lambda path: (len(path), path[-1]))
+
+
 def test_supertype_head_extraction(definition_store):
     # "celestial body" -> head is the last non-stopword token
     assert definition_store.supertype_edges["planet"] == ["body"]
@@ -63,24 +72,26 @@ def test_malformed_json_names_line(tmp_path, lemma_table, stopwords):
 
 
 def test_expand_no_supertypes(definition_store):
-    assert [lemma for lemma, _ in definition_store.expand(term("body"), max_depth=3)] == ["body"]
+    assert evidence_paths(definition_store, "body", 3) == [("body",)]
 
 
 def test_expand_planet_reaches_body(definition_store):
-    assert [lemma for lemma, _ in definition_store.expand(term("planet"), max_depth=1)] == ["planet", "body"]
+    assert evidence_paths(definition_store, "planet", 1) == [("planet",), ("planet", "body")]
 
 
 def test_expand_depth_zero_is_own_records(definition_store):
-    assert [lemma for lemma, _ in definition_store.expand(term("planet"), max_depth=0)] == ["planet"]
+    assert evidence_paths(definition_store, "planet", 0) == [("planet",)]
 
 
-def test_expand_cycle_terminates(tmp_path, lemma_table, stopwords):
+def test_expand_cycle_terminates(tmp_path, lemma_table):
     records = [
         {"term": "a", "sense": "s1", "segments": [{"role": "supertype", "text": "b"}]},
         {"term": "b", "sense": "s1", "segments": [{"role": "supertype", "text": "a"}]},
     ]
-    store = load_definitions(write_jsonl(tmp_path / "cycle.jsonl", records), lemma_table, stopwords)
-    assert [lemma for lemma, _ in store.expand(term("a"), max_depth=5)] == ["a", "b"]
+    # no stopwords: "a" is one of the test list's, and would leave b without a supertype
+    store = load_definitions(write_jsonl(tmp_path / "cycle.jsonl", records), lemma_table, set())
+    assert evidence_paths(store, "a", 5) == [("a",), ("a", "b")]
+    assert [e.path for e in store.has_property(term("a"), term("a"), 5).evidence] == [("a", "b")]
 
 
 def test_has_property_brandy_wine(definition_store):
@@ -102,7 +113,7 @@ def test_self_mention_false(definition_store):
 
 
 def test_unknown_term_empty(definition_store):
-    assert definition_store.expand(term("zzz"), 3) == []
+    assert evidence_paths(definition_store, "zzz", 3) == []
     assert not definition_store.has_property(term("zzz"), term("red")).member
 
 
@@ -174,15 +185,17 @@ def test_holds_is_the_membership_of_has_property(defs, cycle, lemma_table, stopw
     raw += [(child, "cycle", [("supertype", parent)], (None, None))
             for child, parent in zip(cycle, cycle[1:] + cycle[:1])]
     lemmas = ["ant", "bee", "cow", "apple", "red", "whisker", "the", "big", "zebra"]
+    keys = [(t, a, depth) for t in lemmas for a in lemmas for depth in range(5)]
+    # evidence, supertype paths and all, from a store whose own `has_property` walked
+    oracle = _build_store(raw, lemma_table, stopwords)
+    answers = {(t, a, depth): oracle.has_property(term(t), term(a), depth) for t, a, depth in keys}
     built = _build_store(raw, lemma_table, stopwords)
-    walks = {(t, depth): built.expand(term(t), depth) for t in lemmas for depth in range(5)}
     for store in (built, reload_definitions(built)):
         # `holds` first, so `has_property` reads the supertype walks it kept
-        held = {(t, a, depth): store.holds(term(t), term(a), depth)
-                for t in lemmas for a in lemmas for depth in range(5)}
-        assert held == {(t, a, depth): store.has_property(term(t), term(a), depth).member
-                        for t, a, depth in held}
-        assert {key: store.expand(term(key[0]), key[1]) for key in walks} == walks
+        held = {(t, a, depth): store.holds(term(t), term(a), depth) for t, a, depth in keys}
+        assert held == {key: answer.member for key, answer in answers.items()}
+        assert {(t, a, depth): store.has_property(term(t), term(a), depth)
+                for t, a, depth in keys} == answers
 
 
 def test_index_form_is_the_store_form(definition_store):

@@ -10,23 +10,23 @@ from discrimattr.types import MembershipResult
 from discrimattr.visual import (RegionEvidence, VisualStore, _ArrayReader, _Builder,
                                 _load_visual_genome, load_scene_graphs)
 
-from conftest import pairs_of, scene_regions, term
+from conftest import pairs_of, regions_of, scene_regions, term
 
 
 def test_hand_tallied_counts(visual_store):
     # hand tally of scene_regions.jsonl
-    assert visual_store.count("cat", "whisker") == 3
-    assert visual_store.count("apple", "red") == 1
-    assert visual_store.count("tree", "tall") == 1
-    assert visual_store.count("man", "tall") == 1
-    assert visual_store.count("grass", "green") == 1
-    assert visual_store.count("table", "round") == 1
-    assert visual_store.count("lion", "whisker") == 0
+    assert len(regions_of(visual_store, "cat", "whisker")) == 3
+    assert len(regions_of(visual_store, "apple", "red")) == 1
+    assert len(regions_of(visual_store, "tree", "tall")) == 1
+    assert len(regions_of(visual_store, "man", "tall")) == 1
+    assert len(regions_of(visual_store, "grass", "green")) == 1
+    assert len(regions_of(visual_store, "table", "round")) == 1
+    assert len(regions_of(visual_store, "lion", "whisker")) == 0
 
 
 def test_attribute_phrase_splits(visual_store):
-    assert visual_store.count("table", "light") == 1
-    assert visual_store.count("table", "brown") == 1
+    assert len(regions_of(visual_store, "table", "light")) == 1
+    assert len(regions_of(visual_store, "table", "brown")) == 1
 
 
 def test_membership_and_evidence(visual_store):
@@ -95,7 +95,7 @@ def test_oracle_equivalence(visual_store, lemma_table, stopwords):
     for o in {o for o, _ in pairs} | {"lion"}:
         for a in {a for _, a in pairs}:
             regions = pairs.get((o, a))
-            assert visual_store.count(o, a) == len(regions or ())
+            assert regions_of(visual_store, o, a) == (regions or [])
             assert visual_store.has_property(term(o), term(a)) == (
                 MembershipResult(True, (RegionEvidence(o, a, regions),)) if regions
                 else MembershipResult(False))
@@ -114,8 +114,8 @@ def test_visual_genome_format(data_dir, lemma_table, stopwords):
         [data_dir / "vg_objects.json", data_dir / "vg_relationships.json"],
         lemma_table, stopwords,
     )
-    assert store.count("cat", "whisker") == 1
-    assert store.count("table", "round") == 1
+    assert len(regions_of(store, "cat", "whisker")) == 1
+    assert len(regions_of(store, "table", "round")) == 1
     assert "apple" in store.sor_index and "table" in store.sor_index
     # SOR: apple is on the round table in image 102
     assert store.has_property(term("apple"), term("round"), use_sor=True).member
@@ -130,7 +130,7 @@ def test_malformed_records_skipped(tmp_path, lemma_table, stopwords):
         encoding="utf-8",
     )
     store = load_scene_graphs([p], lemma_table, stopwords)
-    assert store.count("cat", "black") == 1
+    assert len(regions_of(store, "cat", "black")) == 1
     assert store.skipped == 2
 
 
@@ -159,7 +159,7 @@ def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, recor
     p.write_text('{"image": 1, "region": 1, "object": "cat", "attributes": ["black"]}\n'
                  + record + "\n", encoding="utf-8")
     store = load_scene_graphs([p], lemma_table, stopwords)
-    assert store.count("cat", "black") == 1
+    assert len(regions_of(store, "cat", "black")) == 1
     assert store.skipped == 1
     assert {o: list(attrs) for o, attrs in store.oa_index.items()} == {"cat": ["black"]}
     assert store.relationships == []
@@ -197,7 +197,7 @@ def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopword
     p = tmp_path / "objects.json"
     p.write_text(json.dumps([cat] + images), encoding="utf-8")
     store = load_scene_graphs([p], lemma_table, stopwords)
-    assert store.count("cat", "black") == 1
+    assert len(regions_of(store, "cat", "black")) == 1
     assert store.skipped == skipped
     assert {o: list(attrs) for o, attrs in store.oa_index.items()} == {"cat": ["black"]}
     assert store.relationships == []
@@ -229,7 +229,7 @@ def test_int_and_separator_free_ids_kept(tmp_path, lemma_table, stopwords, visua
     store = load_scene_graphs([path], lemma_table, stopwords)
     assert store.skipped == 0
     black = pairs_of(regions, lemma_table, stopwords)[("cat", "black")]
-    assert store.count("cat", "black") == len(black) == len(KEPT_IDS)
+    assert len(regions_of(store, "cat", "black")) == len(black) == len(KEPT_IDS)
     assert store.has_property(term("cat"), term("black")).evidence[0].regions == black
     # the dog inherits black in image "", where the cat has two regions
     res = store.has_property(term("dog"), term("black"), min_count=2, use_sor=True)
@@ -248,7 +248,7 @@ def test_duplicate_region_not_double_counted(tmp_path, lemma_table, stopwords):
     p = tmp_path / "dup.jsonl"
     p.write_text(line + line, encoding="utf-8")
     store = load_scene_graphs([p], lemma_table, stopwords)
-    assert store.count("cat", "black") == 1
+    assert len(regions_of(store, "cat", "black")) == 1
 
 
 def test_repeated_attribute_lemma_counts_region_once(tmp_path):
