@@ -183,7 +183,8 @@ def classify(triple: Triple, stores: StoreSet,
     `fired` maps every component to the pivot's membership result if that
     stage fires for this triple, else None, as `classify_batch` asks them.
     Entries after the first that is not None are never read. Without it,
-    the triple is classified as a batch of one."""
+    the triple is classified as a batch of one, which asks every stage,
+    so every store of `stores`, whether it fires."""
     if fired is None:
         return classify_batch([triple], stores, config)[0][0][1]
     for component in config.stage_order:

@@ -69,6 +69,22 @@ def member(component, term, attribute, stores, config):
     return stage.ask(getattr(stores, stage.store).has_property, term, attribute, config)
 
 
+def decide(triple, stores, config):
+    """(deciding component, pivot evidence) of the triple by the cascade's rule, one
+    triple at a time from `member` answers: the first component in stage order whose
+    membership holds for the pivot and not for the comparison; (None, None) if none."""
+    for component in config.stage_order:
+        pivot = member(component, triple.pivot, triple.attribute, stores, config)
+        if pivot and not member(component, triple.comparison, triple.attribute, stores, config):
+            return component, pivot.evidence
+    return None, None
+
+
+def decided(verdict):
+    """A verdict's (deciding component, pivot evidence), as `decide` gives them."""
+    return verdict.deciding_component, verdict.explanation and verdict.explanation.pivot_evidence
+
+
 def regions_of(store, obj, attribute):
     """The regions the visual store grounds the (obj, attribute) lemmas in, from
     `has_property`'s evidence without SOR; [] for a pair it has none of."""

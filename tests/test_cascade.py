@@ -12,7 +12,7 @@ from discrimattr.cascade import (STAGES, CascadeConfig, StoreSet, classify,
 from discrimattr.errors import EvidenceError
 from discrimattr.types import COMPONENTS, Triple
 
-from conftest import member, term
+from conftest import decide, decided, member, term
 
 
 def triple(p, c, a, lemma_table=None):
@@ -120,6 +120,9 @@ def test_batch_equals_map(stores, lemma_table):
             results, _ = classify_batch(triples, stores, cfg)
             # whole verdicts: the component and the explanation too
             assert results == [(t, classify(t, stores, cfg)) for t in triples]
+            # against the per-triple cascade, asked of each store directly
+            assert [decided(v) for _, v in results] == [decide(t, stores, cfg) for t in triples]
+            assert all(v.discriminative == (v.deciding_component is not None) for _, v in results)
             deciders |= {v.deciding_component for _, v in results}
     assert deciders == {None, *COMPONENTS}
     assert classify_batch([], stores) == ([], {c: [] for c in COMPONENTS})
@@ -153,6 +156,8 @@ def test_batch_asks_evidence_of_the_deciding_pivot_alone(stores, lemma_table, mo
                 == results
             assert asked == [(STAGES[v.deciding_component].store, t.pivot, t.attribute)
                              for t, v in results if v.discriminative]
+            cfg = CascadeConfig(order, **extra)
+            assert [decided(v) for _, v in results] == [decide(t, stores, cfg) for t in triples]
 
 
 def test_bitmaps_match_standalone(stores, lemma_table):
@@ -217,8 +222,10 @@ def test_cascade_union_equivalence_under_permutations(lemma_table, stopwords):
                 for c in COMPONENTS
             )
             for order in itertools.permutations(COMPONENTS):
-                v = classify(t, stores, CascadeConfig(stage_order=order))
+                cfg = CascadeConfig(stage_order=order)
+                v = classify(t, stores, cfg)
                 assert v.discriminative == union
+                assert decided(v) == decide(t, stores, cfg)
 
 
 def test_explanation_soundness_reverifies(lemma_table, stopwords):
