@@ -181,7 +181,8 @@ def _stage(name, cfg, lemma_table, stopwords, path):
     elif name == "commonsense":
         store = (commonsense.load_assertions(cfg.assertions, lemma_table, cfg.language)
                  if cfg.assertions else CkgStore.build([]))
-        count, skipped = sum(map(len, store.edges.values())), store.skipped
+        count, skipped = sum(pairs.count("\t") + 1 for ends in store.edges.values()
+                             for pairs in ends.values()) // 2, store.skipped  # 2 fields each
     else:
         store = visual.load_scene_graphs(cfg.scene_graphs, lemma_table, stopwords)
         count, skipped = sum(map(len, store.oa_index.values())), store.skipped
@@ -378,15 +379,13 @@ def cmd_evaluate(cfg) -> int:
     stores = _load_stores(cfg)
     terms = evaluation.Terms(_load_lemma_table(cfg))  # one memo for the gold and annotation reads
     gold = evaluation.load_gold(cfg.gold, terms)
-    annotations = None
-    if cfg.annotations:
-        if Path(cfg.annotations).exists():
-            annotations = evaluation.load_annotations(cfg.annotations, terms)
-        else:
-            print(f"notice: annotation file {cfg.annotations} not found; category tables skipped",
-                  file=sys.stderr)
+    annotated = cfg.annotations and Path(cfg.annotations).exists()
+    if cfg.annotations and not annotated:
+        print(f"notice: annotation file {cfg.annotations} not found; category tables skipped",
+              file=sys.stderr)
     results, bitmaps = classify_batch(gold, stores, cfg.cascade_config())
-    del stores  # frees the store decoded last before the report and the verdicts are built
+    del stores  # frees the store decoded last, whose memory the annotations then reuse
+    annotations = evaluation.load_annotations(cfg.annotations, terms) if annotated else None
     combined = [verdict.discriminative for _, verdict in results]
     report = evaluation.build_report(bitmaps, combined, gold, annotations)
     out = Path(cfg.output_dir)

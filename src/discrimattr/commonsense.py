@@ -41,9 +41,10 @@ class EdgeEvidence(NamedTuple):
 
 class CkgStore:
     """Immutable after load; concurrent readers are safe. Built, persisted
-    and queried in one form: `edges` maps "start<TAB>end" to the sorted
-    [relation, weight] pairs of the assertions from start to end, each
-    assertion once, none with a `Not*` relation."""
+    and queried in one form: `edges` maps start -> {end -> "Rel<TAB>weight<TAB>
+    Rel<TAB>weight ..."}, the sorted (relation, weight) pairs of the assertions
+    from start to end, each once, none with a `Not*` relation. A weight is its
+    float's repr, which `float()` reads back exactly; no relation holds a tab."""
 
     def __init__(self, edges, skipped=0):
         self.edges = edges
@@ -52,26 +53,34 @@ class CkgStore:
     @classmethod
     def build(cls, assertions, skipped=0):
         """From (relation, start, end, weight) tuples: `Not*` relations are
-        dropped, repeats collapse."""
+        dropped, repeats collapse. A kept relation that holds a tab is a
+        ValueError: its pair string could not be split back."""
         edges = {}
-        for relation, start, end, weight in sorted(set(assertions)):
-            if not relation.startswith("Not"):
-                edges.setdefault(f"{start}\t{end}", []).append([relation, weight])
+        kept = {(start, end, relation, weight) for relation, start, end, weight in assertions
+                if not relation.startswith("Not")}
+        for start, end, relation, weight in sorted(kept):  # a pair's relations in a run, sorted
+            if "\t" in relation:
+                raise ValueError(f"relation {relation!r} holds a tab")
+            ends = edges.setdefault(start, {})
+            pair = f"{relation}\t{float(weight)!r}"
+            ends[end] = f"{ends[end]}\t{pair}" if end in ends else pair
         return cls(edges, skipped)
 
+    def _pairs(self, start, end):
+        return self.edges.get(start, {}).get(end, "")
+
     def holds(self, term: Term, attribute: Term) -> bool:
-        """`has_property(...).member`, without the evidence: the two edge keys' lookups."""
+        """`has_property(...).member`, without the evidence: the two pairs' lookups."""
         t, a = term.lemma, attribute.lemma
-        return bool(self.edges.get(f"{t}\t{a}") or a != t and self.edges.get(f"{a}\t{t}"))
+        return bool(self._pairs(t, a) or a != t and self._pairs(a, t))
 
     def has_property(self, term: Term, attribute: Term) -> MembershipResult:
         """True iff any assertion connects the two lemmas, either direction.
         A self-loop is listed once, as forward."""
         t, a = term.lemma, attribute.lemma
-        evidence = [EdgeEvidence(rel, t, a, w, "forward") for rel, w in self.edges.get(f"{t}\t{a}", ())]
+        evidence = _evidence(self._pairs(t, a), t, a, "forward")
         if a != t:
-            evidence += [EdgeEvidence(rel, a, t, w, "reverse")
-                         for rel, w in self.edges.get(f"{a}\t{t}", ())]
+            evidence += _evidence(self._pairs(a, t), a, t, "reverse")
             evidence.sort()
         return MembershipResult(member=bool(evidence), evidence=tuple(evidence))
 
@@ -83,14 +92,19 @@ class CkgStore:
         return cls(*layout(data, edges=dict, skipped=int))
 
 
-def _concept_from_uri(uri, language_filter):
-    # /c/en/ice_cream or /c/en/ice_cream/n -> "ice_cream" when language matches
-    parts = uri.split("/")
+def _evidence(pairs, start, end, direction):
+    """The assertions of a pair string, as evidence"""
+    fields = iter(pairs.split("\t") if pairs else ())
+    return [EdgeEvidence(relation, start, end, float(weight), direction)
+            for relation, weight in zip(fields, fields)]
+
+
+def _concept_from_uri(uri):
+    # /c/en/ice_cream or /c/en/ice_cream/n -> ("en", "ice_cream"); None if not a concept
+    parts = uri.split("/", 4)
     if len(parts) < 4 or parts[1] != "c":
         return None
-    if language_filter and parts[2] != language_filter:
-        return None
-    return parts[3]
+    return parts[2], parts[3]
 
 
 def load_assertions(path, lemma_table, language_filter="en") -> CkgStore:
@@ -129,13 +143,12 @@ def _parse_line(parts, language_filter):
     if len(parts) >= 4 and parts[1].startswith("/r/"):
         # ConceptNet dump row
         relation = parts[1][len("/r/"):]
-        if not relation or _concept_from_uri(parts[2], None) is None \
-                or _concept_from_uri(parts[3], None) is None:
+        start, end = _concept_from_uri(parts[2]), _concept_from_uri(parts[3])
+        if not relation or start is None or end is None:
             return None
-        start = _concept_from_uri(parts[2], language_filter)
-        end = _concept_from_uri(parts[3], language_filter)
-        if start is None or end is None:
+        if language_filter and not start[0] == end[0] == language_filter:
             return "filtered"
+        start, end = start[1], end[1]
         try:
             weight = float(json.loads(parts[4]).get("weight", 1.0)) if len(parts) >= 5 else 1.0
         except (json.JSONDecodeError, TypeError, ValueError, AttributeError):

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from .errors import DataFormatError, EmptyCorpusError
 
-FORMAT_VERSION = 7  # of the index files; `build` records it in the manifest
+FORMAT_VERSION = 8  # of the index files; `build` records it in the manifest
 
 
 class ExplicitVectorSpace:

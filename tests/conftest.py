@@ -97,15 +97,45 @@ def reload_definitions(store):
     return store_from_dict(json.loads(json.dumps(store.to_dict())))
 
 
-def assertions_of(store):
-    """Every assertion of the CKG store, as (relation, start, end, weight), from a scan."""
-    return [(relation, *key.split("\t"), weight)
-            for key, pairs in store.edges.items() for relation, weight in pairs]
+def assertion_rows(name="assertions.tsv"):
+    """The (relation, start, end, weight) rows of a simplified assertion file of
+    tests/data, none of which ingest skips."""
+    lines = (DATA / name).read_text(encoding="utf-8").splitlines()
+    return [(r, s, e, float(w)) for r, s, e, w in (line.split("\t") for line in lines if line)]
 
 
-def concepts_of(store):
-    """Every concept an assertion of the CKG store names, from a scan."""
-    return sorted({c for _, start, end, _ in assertions_of(store) for c in (start, end)})
+def assertions_of(rows, lemma_table=None):
+    """Every assertion the CKG store built from (relation, start, end, weight) rows
+    holds, by brute force: sorted and unique, none with a `Not*` relation, and the
+    concept names lemmatized with `lemma_table` when one is given."""
+    def lemma(name):
+        return name if lemma_table is None else lemma_of(name, lemma_table)
+    return sorted({(relation, lemma(start), lemma(end), weight)
+                   for relation, start, end, weight in rows if not relation.startswith("Not")})
+
+
+def concepts_of(assertions):
+    """Every concept that one of the (relation, start, end, weight) assertions names."""
+    return sorted({c for _, start, end, _ in assertions for c in (start, end)})
+
+
+def edge_scan(assertions, a, b):
+    """The CKG evidence for the (a, b) lemmas, by a scan of (relation, start, end,
+    weight) assertions: each assertion between them in either direction once, as
+    first given, none with a `Not*` relation, as (relation, start, end, repr of its
+    float weight, direction), in assertion order."""
+    found = {}
+    for relation, start, end, weight in assertions:
+        if not relation.startswith("Not") and (start, end) in ((a, b), (b, a)):
+            found.setdefault((relation, start, end, weight), float(weight))
+    evidence = sorted((r, s, e, w, "forward" if s == a else "reverse")
+                      for (r, s, e, _), w in found.items())
+    return [(r, s, e, repr(w), direction) for r, s, e, w, direction in evidence]
+
+
+def evidence_of(result):
+    """A CKG membership answer's evidence in `edge_scan`'s form."""
+    return [(e.relation, e.start, e.end, repr(e.weight), e.direction) for e in result.evidence]
 
 
 def scene_regions():

@@ -20,8 +20,8 @@ from discrimattr.index import ExplicitVectorSpace
 from discrimattr.text import normalize
 from discrimattr.types import COMPONENTS, Term
 
-from conftest import (assertions_of, concepts_of, member, pairs_of, regions_of,
-                      reload_definitions, scene_regions, term)
+from conftest import (assertion_rows, assertions_of, concepts_of, edge_scan, evidence_of,
+                      member, pairs_of, regions_of, reload_definitions, scene_regions, term)
 from test_cascade import random_stores, triple
 from test_evaluation import macro_f1, make_gold
 
@@ -101,14 +101,13 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
             assert regions_of(visual_store, o, a) == brute
             assert visual_store.has_property(term(o, o), term(a, a)).member == bool(brute)
 
-    # ckg membership vs linear scan, and negation exclusion
-    concepts = concepts_of(ckg_store)
-    for a in concepts:
-        for b in concepts:
-            brute = any((start == a and end == b) or (start == b and end == a)
-                        for _, start, end, _ in assertions_of(ckg_store))
+    # ckg membership vs linear scan of the raw assertions, and negation exclusion
+    assertions = assertions_of(assertion_rows(), lemma_table)
+    for a in concepts_of(assertions):
+        for b in concepts_of(assertions):
+            brute = edge_scan(assertions, a, b)
             res = ckg_store.has_property(term(a, a), term(b, b))
-            assert res.member == brute
+            assert (res.member, evidence_of(res)) == (bool(brute), brute)
             for e in res.evidence:
                 assert not e.relation.startswith("Not")
     assert not ckg_store.has_property(term("banana"), term("red")).member

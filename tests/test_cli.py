@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import discrimattr
-from discrimattr import cli, commonsense, definitions, visual
+from discrimattr import cli, commonsense, definitions, evaluation, visual
 from discrimattr.cli import _write_verdicts, load_config, main
 from discrimattr.errors import ConfigError, DataFormatError
 from discrimattr.evaluation import load_annotations, load_gold, read_triples
@@ -45,6 +45,20 @@ def built(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["build", "--config", str(cfg)]) == 0
     return cfg, tmp_path / "out"
+
+
+def test_build_counts_each_assertion_of_a_pair(tmp_path, capsys):
+    assertions = tmp_path / "assertions.tsv"
+    # six assertions, three of one pair, one back and one loop; a repeat and a negation are not
+    assertions.write_text("IsA\tcat\tanimal\t1.0\nHasA\tcat\tfur\t2\nIsA\tcat\tfur\t0.5\n"
+                          "IsA\tcat\tfur\t0.5\nIsA\tanimal\tcat\t1\nIsA\tcat\tcat\t1\n"
+                          "NotIsA\tcat\tdog\t1\nHasA\tcat\tfur\t3\n", encoding="utf-8")
+    cfg = write_config(tmp_path, assertions=str(assertions))
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 0
+    assert "  commonsense: 6 documents\n" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["document_counts"]["commonsense"] == 6
 
 
 def test_build_writes_stores_and_manifest(built, capsys):
@@ -277,11 +291,13 @@ def _index_format(number):
 
 @pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index,
                                      _index_format(2), _index_format(3), _index_format(4),
-                                     _index_format(5), _index_format(6), _index_of_another_layout],
+                                     _index_format(5), _index_format(6), _index_format(7),
+                                     _index_of_another_layout],
                          ids=["manifest-without-index-format", "truncated-index",
                               "manifest-index-format-2", "manifest-index-format-3",
                               "manifest-index-format-4", "manifest-index-format-5",
-                              "manifest-index-format-6", "index-of-another-layout"])
+                              "manifest-index-format-6", "manifest-index-format-7",
+                              "index-of-another-layout"])
 def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
     cfg, out = built
     path = corrupt(out)
@@ -306,19 +322,43 @@ def test_evaluate_on_a_truncated_index_exits_2_and_keeps_its_outputs(built, caps
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("rows", [
+    ["apple,banana,red,sensory;taste"], ["apple,banana,red"], ["apple,banana,red,"],
+    ["apple,banana,red,sensory", "---,banana,red,sensory"],
+], ids=["unknown-category", "three-columns", "no-category", "invalid-term"])
+def test_evaluate_on_a_malformed_annotation_file_exits_2_and_keeps_its_outputs(
+        built, tmp_path, capsys, rows):
+    cfg, out = built
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    path = tmp_path / "annotations.csv"
+    path.write_text("pivot,comparison,attribute,category\n" + "".join(f"{r}\n" for r in rows),
+                    encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--annotations", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"{path}:{len(rows) + 1}:" in captured.err
+    assert captured.out == ""
+    # verdicts.jsonl, semeval.csv, report.txt and report.json as they were, and no temporary file
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+_STORE_TYPES = (definitions.DefinitionStore, commonsense.CkgStore, visual.VisualStore)
+
+
 def _live_stores_at_each_call(monkeypatch, *functions):
-    """Wraps each `(owner, name)` function that returns a store, or None, as a writer
-    does. The list returned gets, at each call, how many stores returned by earlier
-    calls are still alive."""
+    """Wraps each `(owner, name)` function. The list returned gets, at each call, the
+    function's qualified name and how many stores returned by earlier calls are
+    still alive."""
     stores, live = [], []
 
     def wrap(function):
         def counted(*args, **kwargs):
-            live.append(sum(ref() is not None for ref in stores))
-            store = function(*args, **kwargs)
-            if store is not None:
-                stores.append(weakref.ref(store))
-            return store
+            live.append((function.__qualname__, sum(ref() is not None for ref in stores)))
+            result = function(*args, **kwargs)
+            if isinstance(result, _STORE_TYPES):
+                stores.append(weakref.ref(result))
+            return result
         return counted
 
     for owner, name in functions:
@@ -330,16 +370,19 @@ def test_evaluate_holds_one_decoded_store_at_a_time(built, monkeypatch, capsys):
     cfg, _ = built
     live = _live_stores_at_each_call(monkeypatch, (definitions, "store_from_dict"),
                                      (commonsense.CkgStore, "from_dict"),
-                                     (visual.VisualStore, "from_dict"), (cli, "_write_verdicts"))
-    # three decodes, then the verdicts written with no store left
+                                     (visual.VisualStore, "from_dict"),
+                                     (evaluation, "load_annotations"), (cli, "_write_verdicts"))
+    decodes = [("store_from_dict", 0), ("CkgStore.from_dict", 0), ("VisualStore.from_dict", 0)]
+    # three decodes, then the annotations read and the verdicts written with no store left
     assert main(["evaluate", "--config", str(cfg)]) == 0
-    assert live == [0, 0, 0, 0]
+    assert live == [*decodes, ("load_annotations", 0), ("_write_verdicts", 0)]
     # classify, of a triple or of a file, decodes as evaluate does; explain decodes none
+    del live[:]
     assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
     assert main(["classify", "--config", str(cfg), "--triples-file", str(DATA / "gold.csv")]) == 0
-    assert live == [0] * 12
+    assert live == [*decodes, ("_write_verdicts", 0)] * 2
     assert main(["explain", "--config", str(cfg), "apple", "banana", "red"]) == 0
-    assert len(live) == 12
+    assert len(live) == 8
 
 
 def test_one_store_after_a_failed_decode_decodes_the_next_store_asked_for(built):
@@ -358,7 +401,7 @@ def test_build_holds_one_ingested_store_at_a_time(tmp_path, monkeypatch, capsys)
                                      (commonsense, "load_assertions"),
                                      (visual, "load_scene_graphs"))
     assert main(["build", "--config", str(cfg)]) == 0
-    assert live == [0, 0, 0]
+    assert live == [("load_definitions", 0), ("load_assertions", 0), ("load_scene_graphs", 0)]
 
 
 def _broken_scene_graph(tmp_path):

@@ -6,12 +6,18 @@ from hypothesis import strategies as st
 
 from discrimattr.commonsense import CkgStore, load_assertions
 from discrimattr.errors import DataFormatError
+from discrimattr.text import lemma_of
 
-from conftest import assertions_of, concepts_of, term
+from conftest import assertion_rows, assertions_of, concepts_of, edge_scan, evidence_of, term
 
 
-def test_negated_relations_excluded(ckg_store):
-    assert all(not relation.startswith("Not") for relation, *_ in assertions_of(ckg_store))
+def test_negated_relations_excluded(ckg_store, lemma_table):
+    # the concepts of every row, negated ones too
+    concepts = [lemma_of(c, lemma_table) for c in concepts_of(assertion_rows())]
+    for a in concepts:
+        for b in concepts:
+            evidence = ckg_store.has_property(term(a, a), term(b, b)).evidence
+            assert not any(e.relation.startswith("Not") for e in evidence)
     # banana-red exists only as NotHasProperty in the raw dump
     assert not ckg_store.has_property(term("banana"), term("red")).member
 
@@ -31,8 +37,8 @@ def test_membership_with_evidence(ckg_store):
     assert res.evidence[0].direction == "forward"
 
 
-def test_symmetric_lookup(ckg_store):
-    concepts = concepts_of(ckg_store) + ["nothere"]
+def test_symmetric_lookup(ckg_store, lemma_table):
+    concepts = concepts_of(assertions_of(assertion_rows(), lemma_table)) + ["nothere"]
     for a in concepts:
         for b in concepts:
             fwd = ckg_store.has_property(term(a, a), term(b, b)).member
@@ -55,15 +61,15 @@ def test_multiword_whole_concept_default(ckg_store):
     assert not ckg_store.has_property(term("cream"), term("cold")).member
 
 
-def test_oracle_equivalence_linear_scan(ckg_store):
-    concepts = concepts_of(ckg_store)
+def test_oracle_equivalence_linear_scan(ckg_store, lemma_table):
+    assertions = assertions_of(assertion_rows(), lemma_table)
+    concepts = concepts_of(assertions) + ["nothere"]
     for a in concepts:
         for b in concepts:
-            brute = any(
-                (start == a and end == b) or (start == b and end == a)
-                for _, start, end, _ in assertions_of(ckg_store)
-            )
-            assert ckg_store.has_property(term(a, a), term(b, b)).member == brute
+            brute = edge_scan(assertions, a, b)
+            res = ckg_store.has_property(term(a, a), term(b, b))
+            assert (res.member, evidence_of(res)) == (bool(brute), brute)
+            assert ckg_store.holds(term(a, a), term(b, b)) == bool(brute)
 
 
 def test_conceptnet_dump_format(data_dir, lemma_table):
@@ -72,7 +78,7 @@ def test_conceptnet_dump_format(data_dir, lemma_table):
     assert store.has_property(term("cognac"), term("french")).member
     assert not store.has_property(term("banana"), term("red")).member
     # French-language concepts filtered out
-    assert "pomme" not in concepts_of(store)
+    assert not store.has_property(term("pomme"), term("rouge")).member
     assert store.skipped == 1  # the malformed line
     # source weight is stored
     ev = store.has_property(term("cognac"), term("french")).evidence[0]
@@ -94,7 +100,7 @@ def test_line_without_finite_weight_is_skipped(tmp_path, lemma_table, line):
     path.write_text(f"{line}\n{line}\nHasProperty\tcat\tfur\t1.0\n", encoding="utf-8")
     store = load_assertions(path, lemma_table)
     assert store.skipped == 2
-    assert store.edges == {"cat\tfur": [["HasProperty", 1.0]]}
+    assert store.edges == {"cat": {"fur": "HasProperty\t1.0"}}
     json.dumps(store.to_dict(), allow_nan=False)  # the index is standard JSON
 
 
@@ -109,11 +115,49 @@ def test_self_loop_evidence_listed_once():
     assert [(e.end, e.direction) for e in res.evidence] == [("x", "forward")]
 
 
+@pytest.mark.parametrize("language,kept", [
+    ("en", {("cat", "animal", 3.0)}),
+    ("fr", {("chat", "animal_fr", 1.0)}),
+    (None, {("cat", "animal", 3.0), ("chat", "animal_fr", 1.0), ("cat", "chat", 1.0)}),
+], ids=["en", "fr", "no-language-filter"])
+def test_conceptnet_uris_filter_by_language_and_skip_non_concepts(tmp_path, lemma_table,
+                                                                 language, kept):
+    rows = ["/r/IsA\t/c/en/cat/n\t/c/en/animal/n/wn/x\t{\"weight\": 3}",  # sense suffixes
+            "/r/IsA\t/c/fr/chat\t/c/fr/animal_fr\t{}",
+            "/r/RelatedTo\t/c/en/cat\t/c/fr/chat\t{}",  # one end in each language
+            "/r/IsA\t/d/en/cat\t/c/en/animal\t{}", "/r/IsA\t/c/en\t/c/en/animal\t{}",
+            "/r/\t/c/en/cat\t/c/en/animal\t{}"]  # not concepts, or no relation
+    path = tmp_path / "conceptnet.tsv"
+    path.write_text("".join(f"/a/x\t{row}\n" for row in rows), encoding="utf-8")
+    store = load_assertions(path, lemma_table, language_filter=language)
+    assert store.skipped == 3  # the last three rows, whatever the language
+    found = {(e.start, e.end, e.weight) for start, end in [("cat", "animal"), ("chat", "animal_fr"),
+                                                           ("cat", "chat")]
+             for e in store.has_property(term(start), term(end)).evidence}
+    assert found == kept
+
+
+def test_a_pair_is_one_string_of_its_sorted_assertions():
+    store = CkgStore.build([("UsedFor", "x", "y", 2), ("IsA", "x", "y", 1.0),
+                            ("IsA", "x", "y", 0.1 + 0.2), ("NotIsA", "x", "y", 1.0),
+                            ("IsA", "y", "x", -0.0), ("IsA", "x", "y", 1)])
+    assert store.edges == {"x": {"y": "IsA\t0.30000000000000004\tIsA\t1.0\tUsedFor\t2.0"},
+                           "y": {"x": "IsA\t-0.0"}}
+
+
+@pytest.mark.parametrize("relation", ["Has\tProperty", "\t", "HasProperty\t"])
+def test_a_relation_with_a_tab_is_rejected(relation):
+    # neither input format can give one, since both split lines on tabs
+    with pytest.raises(ValueError, match="holds a tab"):
+        CkgStore.build([("IsA", "x", "y", 1.0), (relation, "x", "y", 1.0)])
+
+
 concept_names = ["ant", "bee", "red", "ice_cream", "cream", "cold"]
+weights = [1.0, 2.0, 0.1 + 0.2, 5e-324, -0.0, 0.0, 1.585, 3]
 assertion_sets = st.lists(
-    st.tuples(st.sampled_from(["HasProperty", "RelatedTo", "NotHasProperty"]),
+    st.tuples(st.sampled_from(["HasProperty", "RelatedTo", "Has Property", "NotHasProperty"]),
               st.sampled_from(concept_names), st.sampled_from(concept_names),
-              st.sampled_from([1.0, 2.0])),
+              st.sampled_from(weights)),
     max_size=12,
 )
 
@@ -139,6 +183,23 @@ def test_evidence_in_assertion_order(assertions):
                      if (start, end) in ((a, b), (b, a))]
             got = store.has_property(term(a), term(b)).evidence
             assert [(e.relation, e.start, e.end, e.weight, e.direction) for e in got] == brute
+
+
+@given(assertion_sets)
+def test_built_and_reloaded_evidence_is_a_scan_of_the_assertions(assertions):
+    # each case at least once: every weight, a relation with a space, a self-loop,
+    # both directions of a pair, a repeat and a `Not*` relation
+    assertions = assertions + [("Has Property", "ant", "red", w) for w in weights] + [
+        ("RelatedTo", "cold", "cold", 1.585), ("RelatedTo", "red", "ant", 5e-324),
+        ("RelatedTo", "red", "ant", 5e-324), ("NotHasProperty", "ant", "red", 1.0)]
+    built = CkgStore.build(assertions)
+    reloaded = CkgStore.from_dict(json.loads(json.dumps(built.to_dict())))
+    queried = concept_names + ["zebra"]
+    for a in queried:
+        for b in queried:
+            brute = edge_scan(assertions, a, b)
+            for store in (built, reloaded):
+                assert evidence_of(store.has_property(term(a), term(b))) == brute
 
 
 @given(assertion_sets)
