@@ -58,10 +58,12 @@ class DefinitionStore:
     """Immutable after load; concurrent readers are safe. Built, persisted
     and queried in one form:
 
-    - `records`: lemma -> [[sense, role, text], ...], its segments in file order;
+    - `records`: lemma -> "sense<TAB>role<TAB>text<LF>sense<TAB>role<TAB>text
+      ...", its segments in file order, one string; no sense or text holds a
+      tab or a newline, so the string splits back into its segments;
     - `supertype_edges`: lemma -> sorted [lemma, ...];
     - `space`: the inverted index over the segments, which names each one
-      by its lemma and its position in the lemma's records.
+      by its lemma and its position in the lemma's records string.
 
     The supertype expansion of a (lemma, max_depth), which depends on nothing
     else, is kept once made; two readers that make it at once keep equal values."""
@@ -114,9 +116,11 @@ class DefinitionStore:
         positions = self.space.documents_containing(attribute.lemma)
         evidence = []
         for lemma, path in zip(*self._lineage(term, max_depth)) if positions else ():
-            for i in positions.get(lemma, ()):
-                sense, role, text = self.records[lemma][i]
-                evidence.append(DefinitionEvidence(lemma, sense, role, text, path))
+            if lemma in positions:
+                segments = self.records[lemma].split("\n")
+                for i in positions[lemma].split(" "):
+                    sense, role, text = segments[int(i)].split("\t")
+                    evidence.append(DefinitionEvidence(lemma, sense, role, text, path))
         return MembershipResult(member=bool(evidence), evidence=tuple(evidence))
 
     def to_dict(self):
@@ -126,6 +130,7 @@ class DefinitionStore:
 
 def _build_store(raw_records, lemma_table, stopwords):
     records = {}
+    sizes = {}  # lemma -> its segment count so far
     edges = {}
     documents = []
     seen_senses = set()
@@ -138,13 +143,21 @@ def _build_store(raw_records, lemma_table, stopwords):
         if key in seen_senses:
             raise DataFormatError(f"duplicate (term, sense) {key}", path=where[0], line=where[1])
         seen_senses.add(key)
-        segs = records.setdefault(lemma, [])
+        if "\t" in sense_id or "\n" in sense_id:  # its segments would not split back
+            raise DataFormatError(f"sense {sense_id!r} holds a tab or a newline",
+                                  path=where[0], line=where[1])
         for role, text in segments:
             if role not in SEMANTIC_ROLES:
                 raise DataFormatError(f"unknown semantic role {role!r}", path=where[0], line=where[1])
+            if "\t" in text or "\n" in text:
+                raise DataFormatError(f"segment text {text!r} holds a tab or a newline",
+                                      path=where[0], line=where[1])
             lemmas = normalize(text, lemma_table, stopwords)
-            documents.append((lemma, len(segs), lemmas))
-            segs.append([sense_id, role, text])
+            position = sizes.get(lemma, 0)
+            sizes[lemma] = position + 1
+            documents.append((lemma, position, lemmas))
+            segment = f"{sense_id}\t{role}\t{text}"
+            records[lemma] = f"{records[lemma]}\n{segment}" if position else segment
             if role == "supertype" and lemmas:
                 # NP-head heuristic: the last non-stopword token is the genus.
                 edges.setdefault(lemma, set()).add(lemmas[-1])

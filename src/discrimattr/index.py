@@ -16,13 +16,14 @@ from contextlib import contextmanager
 
 from .errors import DataFormatError, EmptyCorpusError
 
-FORMAT_VERSION = 8  # of the index files; `build` records it in the manifest
+FORMAT_VERSION = 9  # of the index files; `build` records it in the manifest
 
 
 class ExplicitVectorSpace:
-    """Inverted index: lemma -> {document_id: [field, ...]}, ids and fields
-    sorted. Persisted and queried in this one form; immutable after `build`,
-    so concurrent readers are safe.
+    """Inverted index: lemma -> {document_id: "field field ..."}, the ids
+    sorted and each document's fields in one space-joined string, sorted.
+    Persisted and queried in this one form; immutable after `build`, so
+    concurrent readers are safe.
     """
 
     def __init__(self, postings, document_count):
@@ -31,8 +32,9 @@ class ExplicitVectorSpace:
 
     @classmethod
     def build(cls, documents) -> "ExplicitVectorSpace":
-        """Build from (document_id, field, lemma-list) records. Fields are
-        kept as given, so int fields sort as numbers.
+        """Build from (document_id, field, lemma-list) records. Fields sort
+        as given, so int fields sort as numbers, and are written with `str`:
+        a field must hold no space.
 
         Duplicate (document_id, field) pairs with identical tokens are
         collapsed; with differing tokens they are rejected.
@@ -50,7 +52,8 @@ class ExplicitVectorSpace:
         postings = {}
         for (doc_id, fld), toks in sorted(seen.items()):
             for lemma in set(toks):
-                postings.setdefault(lemma, {}).setdefault(doc_id, []).append(fld)
+                docs = postings.setdefault(lemma, {})
+                docs[doc_id] = f"{docs[doc_id]} {fld}" if doc_id in docs else str(fld)
         return cls(postings, document_count=len({doc_id for doc_id, _ in seen}))
 
     def idf(self, lemma: str) -> float:
@@ -61,7 +64,7 @@ class ExplicitVectorSpace:
         return math.log(self.document_count / df if df else self.document_count + 1)
 
     def documents_containing(self, lemma: str) -> dict:
-        """{document_id: [field, ...]} of the documents holding the lemma."""
+        """{document_id: "field field ..."} of the documents holding the lemma."""
         return self.postings.get(lemma, {})
 
     def to_dict(self):

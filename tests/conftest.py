@@ -97,6 +97,54 @@ def reload_definitions(store):
     return store_from_dict(json.loads(json.dumps(store.to_dict())))
 
 
+def definition_rows(name="definitions.jsonl"):
+    """The (term, sense, [(role, text), ...]) records of a definition file of
+    tests/data, in file order, none of which ingest rejects."""
+    lines = (DATA / name).read_text(encoding="utf-8").splitlines()
+    return [(d["term"], d["sense"], [(s["role"], s["text"]) for s in d["segments"]])
+            for d in map(json.loads, filter(None, lines))]
+
+
+def segments_of(rows, lemma_table, stopwords):
+    """lemma -> [(sense, role, text, lemmas of the text), ...] of (term, sense,
+    [(role, text), ...]) records, by brute force: each term lemmatized, each
+    text normalized, the segments in file order."""
+    segments = {}
+    for t, sense, segs in rows:
+        segments.setdefault(lemma_of(t, lemma_table), []).extend(
+            (sense, role, text, normalize(text, lemma_table, stopwords)) for role, text in segs)
+    return segments
+
+
+def definition_scan(segments, t, a, max_depth):
+    """The DBM evidence for the (t, a) lemmas, by a scan of `segments_of`'s
+    segments, as (lemma, sense, role, text, path) tuples. The genus of a
+    supertype segment is its text's last lemma. Each lemma within max_depth
+    genus steps of t is scanned once, by (depth, lemma); its path runs through
+    the least lemma one step nearer t that names it as a genus."""
+    genera = {lemma: {lemmas[-1] for _, role, _, lemmas in segs if role == "supertype" and lemmas}
+              for lemma, segs in segments.items()}
+    depth = {t: 0}
+    changed = True
+    while changed:  # shortest genus-step distances, relaxed until they hold
+        changed = False
+        for lemma, d in list(depth.items()):
+            for genus in genera.get(lemma, ()):
+                if depth.get(genus, d + 2) > d + 1:
+                    depth[genus] = d + 1
+                    changed = True
+
+    def path(lemma):
+        if depth[lemma] == 0:
+            return (lemma,)
+        return path(min(x for x, d in depth.items()
+                        if d == depth[lemma] - 1 and lemma in genera.get(x, ()))) + (lemma,)
+
+    return [(lemma, sense, role, text, path(lemma))
+            for lemma in sorted(depth, key=lambda x: (depth[x], x)) if depth[lemma] <= max_depth
+            for sense, role, text, lemmas in segments.get(lemma, ()) if a in lemmas]
+
+
 def assertion_rows(name="assertions.tsv"):
     """The (relation, start, end, weight) rows of a simplified assertion file of
     tests/data, none of which ingest skips."""

@@ -17,11 +17,11 @@ from discrimattr.cascade import CascadeConfig, classify
 from discrimattr.cli import main
 from discrimattr.evaluation import overlap_analysis
 from discrimattr.index import ExplicitVectorSpace
-from discrimattr.text import normalize
 from discrimattr.types import COMPONENTS, Term
 
-from conftest import (assertion_rows, assertions_of, concepts_of, edge_scan, evidence_of,
-                      member, pairs_of, regions_of, reload_definitions, scene_regions, term)
+from conftest import (assertion_rows, assertions_of, concepts_of, definition_rows, definition_scan,
+                      edge_scan, evidence_of, member, pairs_of, regions_of, reload_definitions,
+                      scene_regions, segments_of, term)
 from test_cascade import random_stores, triple
 from test_evaluation import macro_f1, make_gold
 
@@ -78,20 +78,17 @@ def test_criterion_1_property_suite(lemma_table, stopwords, definition_store,
             indexed = set(space.documents_containing(lemma))
             assert indexed == {d for d, _, toks in docs if lemma in toks}
 
-    # dbm depth-0 membership, on the store as reloaded from its index, vs
-    # brute-force normalization of the term's own segment texts
+    # dbm membership and evidence, on the store as reloaded from its index, vs
+    # a scan of the raw definition records
     reloaded = reload_definitions(definition_store)
-
-    def seg_lemmas(seg):
-        sense, role, text = seg
-        return normalize(text, lemma_table, stopwords)
-
-    vocab = {x for segs in reloaded.records.values() for s in segs for x in seg_lemmas(s)}
-    for lemma, segs in reloaded.records.items():
+    segments = segments_of(definition_rows(), lemma_table, stopwords)
+    vocab = {x for segs in segments.values() for *_, lemmas in segs for x in lemmas}
+    for lemma in segments:
         for a in vocab:
-            brute = any(a in seg_lemmas(s) for s in segs)
-            res = reloaded.has_property(Term(lemma, lemma), Term(a, a), max_depth=0)
-            assert res.member == brute
+            for depth in range(4):
+                brute = definition_scan(segments, lemma, a, depth)
+                res = reloaded.has_property(Term(lemma, lemma), Term(a, a), max_depth=depth)
+                assert (res.member, list(res.evidence)) == (bool(brute), brute)
 
     # vfm membership vs brute-force scan of raw annotations
     vfm_pairs = pairs_of(scene_regions(), lemma_table, stopwords)

@@ -292,12 +292,12 @@ def _index_format(number):
 @pytest.mark.parametrize("corrupt", [_without_index_format, _truncated_visual_index,
                                      _index_format(2), _index_format(3), _index_format(4),
                                      _index_format(5), _index_format(6), _index_format(7),
-                                     _index_of_another_layout],
+                                     _index_format(8), _index_of_another_layout],
                          ids=["manifest-without-index-format", "truncated-index",
                               "manifest-index-format-2", "manifest-index-format-3",
                               "manifest-index-format-4", "manifest-index-format-5",
                               "manifest-index-format-6", "manifest-index-format-7",
-                              "index-of-another-layout"])
+                              "manifest-index-format-8", "index-of-another-layout"])
 def test_stale_or_corrupt_index_exits_2(built, capsys, corrupt):
     cfg, out = built
     path = corrupt(out)
@@ -611,6 +611,10 @@ def test_malformed_visual_genome_array_exits_2(tmp_path, capsys, corrupt):
     '{"term": "cat", "sense": "s", "segments": [{"role": "supertype", "text": 5}]}',
     '{"term": "cat", "sense": null, "segments": []}',
     '{"term": "cat", "sense": ["a"], "segments": []}',
+    '{"term": "cat", "sense": "s\\tx", "segments": []}',
+    '{"term": "cat", "sense": "s\\nx", "segments": []}',
+    '{"term": "cat", "sense": "s", "segments": [{"role": "supertype", "text": "red\\tpet"}]}',
+    '{"term": "cat", "sense": "s", "segments": [{"role": "supertype", "text": "red\\npet"}]}',
 ])
 def test_malformed_definition_exits_2_naming_line(tmp_path, capsys, line):
     path = tmp_path / "definitions.jsonl"

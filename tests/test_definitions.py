@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from discrimattr.definitions import SEMANTIC_ROLES, _build_store, load_definitions, store_from_dict
 from discrimattr.errors import DataFormatError
+from discrimattr.index import dump_json, load_json
 from discrimattr.text import normalize
 from discrimattr.types import Term
 
-from conftest import reload_definitions, term
+from conftest import definition_rows, definition_scan, reload_definitions, segments_of, term
 
 
 def write_jsonl(path, records):
@@ -35,9 +36,9 @@ def test_supertype_head_extraction(definition_store):
 
 
 def test_space_documents_are_segments(definition_store):
-    assert definition_store.space.documents_containing("wine") == {"brandy": [1]}
-    assert definition_store.records["brandy"][1] == [
-        "brandy.n.01", "differentia_event", "distilled from wine or fermented fruit juice"]
+    assert definition_store.space.documents_containing("wine") == {"brandy": "1"}
+    assert definition_store.records["brandy"].split("\n")[1] == \
+        "brandy.n.01\tdifferentia_event\tdistilled from wine or fermented fruit juice"
 
 
 def test_empty_file(tmp_path, lemma_table, stopwords):
@@ -69,6 +70,32 @@ def test_malformed_json_names_line(tmp_path, lemma_table, stopwords):
     with pytest.raises(DataFormatError) as exc:
         load_definitions(p, lemma_table, stopwords)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("sense,text", [
+    ("s\tx", "fruit"), ("s\nx", "fruit"), ("s", "red\tfruit"), ("s", "red\nfruit"),
+], ids=["tab-in-sense", "newline-in-sense", "tab-in-text", "newline-in-text"])
+def test_tab_or_newline_in_sense_or_text_rejected(tmp_path, lemma_table, stopwords, sense, text):
+    # the records string of a lemma could not be split back into its segments
+    recs = [{"term": "pear", "sense": "s0", "segments": [{"role": "supertype", "text": "fruit"}]},
+            {"term": "apple", "sense": sense, "segments": [{"role": "supertype", "text": text}]}]
+    p = write_jsonl(tmp_path / "sep.jsonl", recs)
+    with pytest.raises(DataFormatError, match="holds a tab or a newline") as exc:
+        load_definitions(p, lemma_table, stopwords)
+    assert (exc.value.path, exc.value.line) == (str(p), 2)
+
+
+def test_other_line_breaks_in_text_come_back_unchanged(tmp_path, lemma_table, stopwords):
+    texts = ["red\rfruit", "red\x0bfruit", "red\u00a0fruit", "red\u2028fruit", "red\r\x85fruit"]
+    recs = [{"term": "apple", "sense": f"s{i}\u2029", "segments": [
+        {"role": "differentia_quality", "text": text}]} for i, text in enumerate(texts)]
+    built = load_definitions(write_jsonl(tmp_path / "breaks.jsonl", recs), lemma_table, stopwords)
+    dump_json(built.to_dict(), tmp_path / "definitions.index.json")
+    reloaded = store_from_dict(load_json(tmp_path / "definitions.index.json"))
+    for store in (built, reloaded):
+        res = store.has_property(term("apple"), term("fruit"))
+        assert [(e.sense_id, e.text) for e in res.evidence] == \
+            [(f"s{i}\u2029", text) for i, text in enumerate(texts)]
 
 
 def test_expand_no_supertypes(definition_store):
@@ -131,28 +158,28 @@ def test_inheritance_monotonic(definition_store):
 
 
 def test_evidence_soundness(reloaded_definition_store, lemma_table, stopwords):
+    # each evidence segment is a raw record's segment of its term, and names the attribute
     store = reloaded_definition_store
-    for t in store.records:
+    segments = segments_of(definition_rows(), lemma_table, stopwords)
+    for t in segments:
         for a in ["body", "fruit", "wine", "yellow"]:
             res = store.has_property(term(t), term(a))
             for e in res.evidence:
+                assert (e.sense_id, e.role, e.text) in [seg[:3] for seg in segments[e.term]]
                 assert a in normalize(e.text, lemma_table, stopwords)
 
 
 def test_depth0_oracle_equivalence(reloaded_definition_store, lemma_table, stopwords):
-    # brute force over the texts of the term's own segments
+    # brute force over the texts of the term's own segments, as the raw records give them
     store = reloaded_definition_store
-
-    def lemmas(seg):
-        sense, role, text = seg
-        return normalize(text, lemma_table, stopwords)
-
-    vocab = {x for segs in store.records.values() for s in segs for x in lemmas(s)}
-    for t, segs in store.records.items():
+    segments = segments_of(definition_rows(), lemma_table, stopwords)
+    vocab = {x for segs in segments.values() for *_, lemmas in segs for x in lemmas}
+    for t, segs in segments.items():
         for a in vocab:
-            brute = any(a in lemmas(s) for s in segs)
+            brute = [(t, sense, role, text, (t,)) for sense, role, text, lemmas in segs
+                     if a in lemmas]
             res = store.has_property(term(t), Term(a, a), max_depth=0)
-            assert res.member == brute
+            assert (res.member, list(res.evidence)) == (bool(brute), brute)
 
 
 nouns = ["ant", "bee", "cow", "apples"]
@@ -198,6 +225,30 @@ def test_holds_is_the_membership_of_has_property(defs, cycle, lemma_table, stopw
                 for t, a, depth in keys} == answers
 
 
+@given(defs=definition_sets, cycle=st.permutations(nouns[:3]),
+       long=st.lists(st.lists(words, max_size=3).map(" ".join), min_size=11, max_size=14),
+       cut=st.integers(1, 10))
+def test_built_and_reloaded_evidence_is_a_scan_of_the_records(defs, cycle, long, cut,
+                                                              lemma_table, stopwords):
+    # always a supertype cycle through three nouns, a self-supertype, and a lemma
+    # of more than ten segments over two senses, several of which name "red"
+    long = [f"{text} red" if i % 4 == 2 else text for i, text in enumerate(long)]
+    rows = [(t, sense, segments) for (t, sense), segments in defs.items()]
+    rows += [(child, "cycle", [("supertype", parent)])
+             for child, parent in zip(cycle, cycle[1:] + cycle[:1])]
+    rows += [("bee", "self", [("supertype", "big bee")]),
+             ("apples", "long1", [("differentia_quality", text) for text in long[:cut]]),
+             ("apples", "long2", [("differentia_quality", text) for text in long[cut:]])]
+    segments = segments_of(rows, lemma_table, stopwords)
+    lemmas = ["ant", "bee", "cow", "apple", "red", "whisker", "big", "zebra"]
+    scans = {(t, a, depth): definition_scan(segments, t, a, depth)
+             for t in lemmas for a in lemmas for depth in range(4)}
+    built = _build_store([(*row, (None, None)) for row in rows], lemma_table, stopwords)
+    for store in (built, reload_definitions(built)):
+        assert {(t, a, depth): list(store.has_property(term(t), term(a), depth).evidence)
+                for t, a, depth in scans} == scans
+
+
 def test_index_form_is_the_store_form(definition_store):
     data = definition_store.to_dict()
     assert data["records"] is definition_store.records
@@ -207,11 +258,15 @@ def test_index_form_is_the_store_form(definition_store):
     assert reloaded.records is definition_store.records
     assert reloaded.supertype_edges is definition_store.supertype_edges
     assert reloaded.space.postings is definition_store.space.postings
-    assert definition_store.records["brandy"] == [
-        ["brandy.n.01", "supertype", "strong liquor"],
-        ["brandy.n.01", "differentia_event", "distilled from wine or fermented fruit juice"]]
+    assert definition_store.records["brandy"] == (
+        "brandy.n.01\tsupertype\tstrong liquor\n"
+        "brandy.n.01\tdifferentia_event\tdistilled from wine or fermented fruit juice")
+    # each document's fields: its segment positions, in numeric order, in one string
     postings = definition_store.space.postings
-    assert all(type(i) is int for docs in postings.values() for ids in docs.values() for i in ids)
+    for docs in postings.values():
+        for fields in docs.values():
+            positions = sorted(map(int, fields.split(" ")))
+            assert fields == " ".join(map(str, positions))
 
 
 def test_evidence_follows_segment_order_past_nine(tmp_path, lemma_table, stopwords):
@@ -222,7 +277,7 @@ def test_evidence_follows_segment_order_past_nine(tmp_path, lemma_table, stopwor
                 "segments": [{"role": "differentia_quality", "text": t} for t in half]}
                for sense, half in (("s1", texts[:6]), ("s2", texts[6:]))]
     built = load_definitions(write_jsonl(tmp_path / "long.jsonl", records), lemma_table, stopwords)
-    assert built.space.documents_containing("red") == {"ant": [2, 10]}
+    assert built.space.documents_containing("red") == {"ant": "2 10"}
     for store in (built, reload_definitions(built)):
         res = store.has_property(term("ant"), term("red"))
         assert [(e.sense_id, e.text) for e in res.evidence] == [
