@@ -51,7 +51,7 @@ class CkgStore:
         self.skipped = skipped
 
     @classmethod
-    def build(cls, assertions, skipped=0):
+    def build(cls, assertions):
         """From (relation, start, end, weight) tuples: `Not*` relations are
         dropped, repeats collapse. A kept relation that holds a tab is a
         ValueError: its pair string could not be split back."""
@@ -64,7 +64,7 @@ class CkgStore:
             ends = edges.setdefault(start, {})
             pair = f"{relation}\t{float(weight)!r}"
             ends[end] = f"{ends[end]}\t{pair}" if end in ends else pair
-        return cls(edges, skipped)
+        return cls(edges)
 
     def _pairs(self, start, end):
         return self.edges.get(start, {}).get(end, "")
@@ -113,30 +113,33 @@ def load_assertions(path, lemma_table, language_filter="en") -> CkgStore:
     Not-prefixed relations and non-matching languages are excluded;
     malformed lines increment the skip counter instead of failing the load.
     """
-    assertions = set()
     skipped = 0
     lemmas = Lemmas(lemma_table)  # "_" splits tokens as a space does
-    with open_text(path) as fh:
+
+    def assertions(fh):  # each kept row as it is read, for the store's one set
+        nonlocal skipped
         for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            parsed = _parse_line(parts, language_filter)
+            parsed = _parse_line(line.split("\t"), language_filter)
             if parsed is None:
                 skipped += 1
                 continue
             if parsed == "filtered":
                 continue
             relation, start, end, weight = parsed
-            if relation.startswith("Not"):
+            if relation.startswith("Not"):  # before the lemmas, so it is never a skip
                 continue
             start, end = lemmas[start], lemmas[end]
             if start is None or end is None:
                 skipped += 1
             else:
-                assertions.add((relation, start, end, weight))
-    return CkgStore.build(assertions, skipped=skipped)
+                yield relation, start, end, weight
+
+    with open_text(path) as fh:
+        edges = CkgStore.build(assertions(fh)).edges
+    return CkgStore(edges, skipped)
 
 
 def _parse_line(parts, language_filter):

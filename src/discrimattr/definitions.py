@@ -129,73 +129,81 @@ class DefinitionStore:
 
 
 def _build_store(raw_records, lemma_table, stopwords):
+    """The store of (term, sense, [(role, text), ...], (path, line)) records,
+    checked and indexed as they come, in one pass."""
     records = {}
     sizes = {}  # lemma -> its segment count so far
     edges = {}
-    documents = []
     seen_senses = set()
-    for term, sense_id, segments, where in raw_records:
-        try:
-            lemma = lemma_of(term, lemma_table)
-        except ValueError as e:
-            raise DataFormatError(f"invalid term: {e}", path=where[0], line=where[1])
-        key = (lemma, sense_id)
-        if key in seen_senses:
-            raise DataFormatError(f"duplicate (term, sense) {key}", path=where[0], line=where[1])
-        seen_senses.add(key)
-        if "\t" in sense_id or "\n" in sense_id:  # its segments would not split back
-            raise DataFormatError(f"sense {sense_id!r} holds a tab or a newline",
-                                  path=where[0], line=where[1])
-        for role, text in segments:
-            if role not in SEMANTIC_ROLES:
-                raise DataFormatError(f"unknown semantic role {role!r}", path=where[0], line=where[1])
-            if "\t" in text or "\n" in text:
-                raise DataFormatError(f"segment text {text!r} holds a tab or a newline",
-                                      path=where[0], line=where[1])
-            lemmas = normalize(text, lemma_table, stopwords)
-            position = sizes.get(lemma, 0)
-            sizes[lemma] = position + 1
-            documents.append((lemma, position, lemmas))
-            segment = f"{sense_id}\t{role}\t{text}"
-            records[lemma] = f"{records[lemma]}\n{segment}" if position else segment
-            if role == "supertype" and lemmas:
-                # NP-head heuristic: the last non-stopword token is the genus.
-                edges.setdefault(lemma, set()).add(lemmas[-1])
-    edges = {k: sorted(v) for k, v in edges.items()}
-    return DefinitionStore(records, edges, ExplicitVectorSpace.build(documents))
+
+    def documents():  # each segment as (lemma, position, lemmas), for the index
+        for term, sense_id, segments, (path, line) in raw_records:
+            try:
+                lemma = lemma_of(term, lemma_table)
+            except ValueError as e:
+                raise DataFormatError(f"invalid term: {e}", path=path, line=line)
+            key = (lemma, sense_id)
+            if key in seen_senses:
+                raise DataFormatError(f"duplicate (term, sense) {key}", path=path, line=line)
+            seen_senses.add(key)
+            if "\t" in sense_id or "\n" in sense_id:  # its segments would not split back
+                raise DataFormatError(f"sense {sense_id!r} holds a tab or a newline",
+                                      path=path, line=line)
+            for role, text in segments:
+                if role not in SEMANTIC_ROLES:
+                    raise DataFormatError(f"unknown semantic role {role!r}", path=path, line=line)
+                if "\t" in text or "\n" in text:
+                    raise DataFormatError(f"segment text {text!r} holds a tab or a newline",
+                                          path=path, line=line)
+                lemmas = normalize(text, lemma_table, stopwords)
+                position = sizes.get(lemma, 0)
+                sizes[lemma] = position + 1
+                segment = f"{sense_id}\t{role}\t{text}"
+                records[lemma] = f"{records[lemma]}\n{segment}" if position else segment
+                if role == "supertype" and lemmas:
+                    # NP-head heuristic: the last non-stopword token is the genus.
+                    edges.setdefault(lemma, set()).add(lemmas[-1])
+                yield lemma, position, lemmas
+
+    space = ExplicitVectorSpace.build(documents())
+    return DefinitionStore(records, {k: sorted(v) for k, v in edges.items()}, space)
 
 
 def _is_segment(seg):
     return type(seg) is dict and type(seg.get("role")) is str and type(seg.get("text")) is str
 
 
+def _read_records(fh, path):
+    """The records of a JSON-lines definition file, each checked as it is read."""
+    for lineno, line in enumerate(fh, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataFormatError(f"invalid JSON: {e}", path=path, line=lineno)
+        if type(obj) is not dict:
+            raise DataFormatError("a definition must be a JSON object", path=path, line=lineno)
+        for field in ("term", "sense", "segments"):
+            if field not in obj:
+                raise DataFormatError(f"missing field {field!r}", path=path, line=lineno)
+        for field in ("term", "sense"):
+            if type(obj[field]) is not str:
+                raise DataFormatError(f"{field!r} must be a string", path=path, line=lineno)
+        segments = obj["segments"]
+        if type(segments) is not list or not all(map(_is_segment, segments)):
+            raise DataFormatError("each segment needs string 'role' and 'text'",
+                                  path=path, line=lineno)
+        yield (obj["term"], obj["sense"], [(seg["role"], seg["text"]) for seg in segments],
+               (str(path), lineno))
+
+
 def load_definitions(path, lemma_table, stopwords) -> DefinitionStore:
-    """Load a role-annotated JSON-lines definition file."""
-    raw = []
+    """Load a role-annotated JSON-lines definition file, record by record: a
+    file with several bad lines is reported at the first in file order."""
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"invalid JSON: {e}", path=path, line=lineno)
-            if type(obj) is not dict:
-                raise DataFormatError("a definition must be a JSON object", path=path, line=lineno)
-            for field in ("term", "sense", "segments"):
-                if field not in obj:
-                    raise DataFormatError(f"missing field {field!r}", path=path, line=lineno)
-            for field in ("term", "sense"):
-                if type(obj[field]) is not str:
-                    raise DataFormatError(f"{field!r} must be a string", path=path, line=lineno)
-            segments = obj["segments"]
-            if type(segments) is not list or not all(map(_is_segment, segments)):
-                raise DataFormatError("each segment needs string 'role' and 'text'",
-                                      path=path, line=lineno)
-            raw.append((obj["term"], obj["sense"],
-                        [(seg["role"], seg["text"]) for seg in segments], (str(path), lineno)))
-    return _build_store(raw, lemma_table, stopwords)
+        return _build_store(_read_records(fh, path), lemma_table, stopwords)
 
 
 def store_from_dict(data) -> DefinitionStore:

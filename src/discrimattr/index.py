@@ -14,16 +14,16 @@ import math
 import os
 from contextlib import contextmanager
 
-from .errors import DataFormatError, EmptyCorpusError
+from .errors import EmptyCorpusError
 
 FORMAT_VERSION = 9  # of the index files; `build` records it in the manifest
 
 
 class ExplicitVectorSpace:
-    """Inverted index: lemma -> {document_id: "field field ..."}, the ids
-    sorted and each document's fields in one space-joined string, sorted.
-    Persisted and queried in this one form; immutable after `build`, so
-    concurrent readers are safe.
+    """Inverted index: lemma -> {document_id: "field field ..."}, each
+    document's fields in one space-joined string, in the order `build` was
+    given them. Persisted and queried in this one form; immutable after
+    `build`, so concurrent readers are safe.
     """
 
     def __init__(self, postings, document_count):
@@ -32,29 +32,19 @@ class ExplicitVectorSpace:
 
     @classmethod
     def build(cls, documents) -> "ExplicitVectorSpace":
-        """Build from (document_id, field, lemma-list) records. Fields sort
-        as given, so int fields sort as numbers, and are written with `str`:
-        a field must hold no space.
-
-        Duplicate (document_id, field) pairs with identical tokens are
-        collapsed; with differing tokens they are rejected.
-        """
-        seen = {}
-        for doc_id, fld, tokens in documents:
-            key = (str(doc_id), fld)
-            toks = tuple(tokens)
-            if key in seen and seen[key] != toks:
-                raise DataFormatError(
-                    f"duplicate document ({key[0]!r}, field {key[1]!r}) with differing tokens"
-                )
-            seen[key] = toks
-
+        """Build in one pass from (document_id, field, lemma-list) records:
+        each (document_id, field) at most once, and a document's fields in
+        the order to list them. A field is written with `str`, so it must
+        hold no space."""
         postings = {}
-        for (doc_id, fld), toks in sorted(seen.items()):
-            for lemma in set(toks):
+        ids = set()
+        for doc_id, fld, tokens in documents:
+            doc_id = str(doc_id)
+            ids.add(doc_id)
+            for lemma in set(tokens):
                 docs = postings.setdefault(lemma, {})
                 docs[doc_id] = f"{docs[doc_id]} {fld}" if doc_id in docs else str(fld)
-        return cls(postings, document_count=len({doc_id for doc_id, _ in seen}))
+        return cls(postings, document_count=len(ids))
 
     def idf(self, lemma: str) -> float:
         """ln(N/df); unseen lemmas get the sentinel ln(N+1)."""

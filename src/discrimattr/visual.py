@@ -137,20 +137,16 @@ def _pairs(regions):
     return [pair.split("\t") for pair in regions.split(" ")]
 
 
-def _is_id(value):
-    return type(value) is str or type(value) is int
-
-
 def _is_region_id(value):
-    """An id a pair string can hold: an int, or a str with no tab or space."""
+    """An id the store can hold: an int, or a str with no tab or space."""
     return type(value) is int or type(value) is str and "\t" not in value and " " not in value
 
 
 class _Builder:
     """Validates and indexes scene-graph records. A record with a missing or
-    non-str/int id, a region whose image or region id holds a tab or a space,
-    a name that is not a string or has no lemma, or attributes that are not
-    a list of strings is skipped and counted."""
+    non-str/int id, an image or region id that holds a tab or a space, a name
+    that is not a string or has no lemma, or attributes that are not a list
+    of strings is skipped and counted."""
 
     def __init__(self, lemma_table, stopwords):
         self.stopwords = stopwords
@@ -179,7 +175,7 @@ class _Builder:
 
     def add_relationship(self, image_id, subject, predicate, object_name):
         rel = [str(image_id), self._lemma(subject), self._lemma(predicate), self._lemma(object_name)]
-        if None in rel or not _is_id(image_id):
+        if None in rel or not _is_region_id(image_id):
             self.skipped += 1
             return
         self.relationships.append(rel)
@@ -282,6 +278,8 @@ def _vg_name(node):
 def _load_one(path, builder):
     with open_text(path) as fh:
         head = fh.read(1)
+        while head in (" ", "\t", "\n", "\r"):  # the whitespace `json.load` skips
+            head = fh.read(1)
         fh.seek(0)
         if head == "[":
             _load_visual_genome(_ArrayReader(fh), builder)

@@ -77,6 +77,18 @@ def test_build_missing_input_exits_1(tmp_path, capsys):
     assert main(["build", "--config", str(cfg)]) == 1
 
 
+def test_build_names_the_first_bad_definition_line(tmp_path, capsys):
+    # definitions are checked as they are read: line 2's role, before line 3's JSON
+    bad = tmp_path / "definitions.jsonl"
+    bad.write_text('{"term": "a", "sense": "s", "segments": []}\n'
+                   '{"term": "b", "sense": "s", "segments": [{"role": "genus", "text": "x"}]}\n'
+                   '{oops\n', encoding="utf-8")
+    cfg = write_config(tmp_path, definitions=str(bad))
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 2
+    assert f"{bad}:2: unknown semantic role 'genus'" in capsys.readouterr().err
+
+
 def test_build_determinism(tmp_path):
     cfg1 = write_config(tmp_path, name="c1.json", output_dir=str(tmp_path / "o1"))
     cfg2 = write_config(tmp_path, name="c2.json", output_dir=str(tmp_path / "o2"))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from discrimattr.errors import DataFormatError, EmptyCorpusError
+from discrimattr.errors import EmptyCorpusError
 from discrimattr.index import (FORMAT_VERSION, ExplicitVectorSpace, atomic_open, dump_json,
                                load_json)
 
@@ -50,16 +50,6 @@ def test_idf_empty_space_errors():
     assert space.postings == {}
     with pytest.raises(EmptyCorpusError):
         space.idf("anything")
-
-
-def test_duplicate_document_conflict_rejected():
-    with pytest.raises(DataFormatError):
-        space_of(("d1", "f", ["a"]), ("d1", "f", ["b"]))
-
-
-def test_duplicate_document_identical_collapses():
-    space = space_of(("d1", "f", ["a"]), ("d1", "f", ["a"]))
-    assert space.document_count == 1
 
 
 tokens = st.lists(st.sampled_from("abcdefgh"), max_size=10)

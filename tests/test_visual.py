@@ -121,6 +121,16 @@ def test_visual_genome_format(data_dir, lemma_table, stopwords):
     assert store.has_property(term("apple"), term("round"), use_sor=True).member
 
 
+@pytest.mark.parametrize("prefix", ["", "\n", " \t\r\n"], ids=["none", "newline", "whitespace"])
+def test_visual_genome_array_after_whitespace(tmp_path, data_dir, lemma_table, stopwords, prefix):
+    # the format is told by the first character that is not JSON whitespace
+    objects = tmp_path / "vg_objects.json"
+    objects.write_text(prefix + (data_dir / "vg_objects.json").read_text(encoding="utf-8"),
+                       encoding="utf-8", newline="")
+    plain = load_scene_graphs([data_dir / "vg_objects.json"], lemma_table, stopwords)
+    assert load_scene_graphs([objects], lemma_table, stopwords).to_dict() == plain.to_dict()
+
+
 def test_malformed_records_skipped(tmp_path, lemma_table, stopwords):
     p = tmp_path / "scenes.jsonl"
     p.write_text(
@@ -153,6 +163,8 @@ def test_malformed_records_skipped(tmp_path, lemma_table, stopwords):
     '{"image": "1 2", "region": 2, "object": "cat", "attributes": ["white"]}',
     '{"image": 1, "region": "2\\t", "object": "cat", "attributes": ["white"]}',
     '{"image": 1, "region": " ", "object": "cat", "attributes": ["white"]}',
+    # a relationship's image id with a separator: SOR would match it in another image's regions
+    '{"image": "0\\t1 2", "subject": "boy", "predicate": "holds", "object": "apple"}',
 ])
 def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, record):
     p = tmp_path / "scenes.jsonl"
@@ -190,6 +202,8 @@ def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, recor
                                       "attributes": ["white"]}]},
       {"image_id": 1, "objects": [{"object_id": "1 2", "names": ["cat"], "attributes": ["white"]},
                                   {"id": "\t", "names": ["cat"], "attributes": ["white"]}]}], 3),
+    ([{"image_id": "0\t1 2", "relationships": [{"predicate": "holds", "subject": {"name": "boy"},
+                                                "object": {"name": "apple"}}]}], 1),
 ])
 def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopwords,
                                                  images, skipped):
