@@ -14,10 +14,10 @@ import gc
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 
-# `hashlib` and `evaluation` load in the commands that use them: `explain` needs neither
+# `evaluation` loads in the commands that use it, `hashlib` only when a file must be hashed
 from . import commonsense, definitions, text, visual
 from .cascade import STAGES, CascadeConfig, classify_batch, render_explanation
 from .commonsense import CkgStore
@@ -163,13 +163,53 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _manifest(cfg):
-    return {
+def _stat(path):
+    """What any write to `path` changes, its change time at least, which user
+    space cannot set back."""
+    st = os.stat(path)
+    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev]
+
+
+def _record(path, start, before):
+    """The sha256 of `path` and, if it last changed before the build's `start`,
+    `before`: its stat from before the build read it, which any later change
+    moves. It must still have that stat once hashed, or the digest could name
+    other bytes than the indexes hold."""
+    try:
+        record = {"sha256": _sha256(path)}
+        changed = _stat(path) != before
+    except OSError as e:
+        raise DataFormatError(f"cannot read: {e.strerror}", path=str(path))
+    if changed:
+        raise DataFormatError("changed while the build ran; run `discrimattr build` again",
+                              path=str(path))
+    if before[2] < start:
+        record["stat"] = before
+    return record
+
+
+def _manifest(cfg, start, before):
+    """`before`: each input's stat, taken after `start` and before any read."""
+    manifest = {
         "index_format": FORMAT_VERSION,
-        "inputs": {name: {"path": p, "sha256": _sha256(p)} for name, p in cfg.input_paths().items()},
-        "lemma_table_sha256": _lemma_table_file(cfg, _sha256),
+        "inputs": {name: {"path": p, **_record(p, start, before[p])}
+                   for name, p in cfg.input_paths().items()},
         "config": cfg.to_dict(),
     }
+    table = _lemma_table_file(cfg, lambda p: _record(p, start, before.get(p) or _stat(p)))
+    for key, value in table.items():
+        manifest[f"lemma_table_{key}"] = value
+    return manifest
+
+
+def _unchanged(path, digest, stat, hashed):
+    """Whether `path` still holds the bytes of `digest`: read only when its stat
+    is not the recorded `stat`, and hashed at most once into `hashed`."""
+    if stat is not None and _stat(path) == stat:
+        return True
+    if path not in hashed:
+        hashed[path] = _sha256(path)
+    return hashed[path] == digest
 
 
 def _stage(name, cfg, lemma_table, stopwords, path):
@@ -192,17 +232,24 @@ def _stage(name, cfg, lemma_table, stopwords, path):
 
 def cmd_build(cfg) -> int:
     _validate_inputs(cfg)
-    lemma_table = _load_lemma_table(cfg)
-    stopwords = text.load_stopwords(cfg.stopwords) if cfg.stopwords else text.default_stopwords()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     import tempfile  # only `build` stages its indexes
-    # each index waits here under its name, so a failed build keeps the previous ones
+    # each index waits here under its name, so a failed build keeps the previous ones;
+    # made before any input is read, its change time is the build's start
     with tempfile.TemporaryDirectory(prefix=".build-", dir=out) as staged:
+        start = os.stat(staged).st_ctime_ns
+        try:
+            before = {p: _stat(p) for p in cfg.input_paths().values()}
+        except OSError as e:
+            raise DataFormatError(f"cannot read: {e.strerror}", path=e.filename)
+        lemma_table = _load_lemma_table(cfg)
+        stopwords = (text.load_stopwords(cfg.stopwords) if cfg.stopwords
+                     else text.default_stopwords())
         counts, skips = zip(*(_stage(name, cfg, lemma_table, stopwords, Path(staged, file))
                               for name, file in STORE_FILES.items()))
         gc.collect()  # empties the free lists, so the ingests' memory goes back before `hashlib`
-        manifest = _manifest(cfg)
+        manifest = _manifest(cfg, start, before)
         # no manifest until the new one: a build that fails between two renames leaves none
         (out / "manifest.json").unlink(missing_ok=True)
         for file in STORE_FILES.values():
@@ -227,25 +274,28 @@ def _check_manifest(cfg, out):
     with _malformed(manifest_path):
         manifest = load_json(manifest_path)
         index_format = manifest.get("index_format", 1)  # formats before 2 did not record it
-        inputs = [(name, str(e["path"]), e["sha256"]) for name, e in manifest["inputs"].items()]
-        lemma_table_sha256 = manifest.get("lemma_table_sha256")
+        inputs = [(name, str(e["path"]), e["sha256"], e.get("stat"))
+                  for name, e in manifest["inputs"].items()]
+        lemma_table = manifest.get("lemma_table_sha256"), manifest.get("lemma_table_stat")
     if index_format != FORMAT_VERSION:
         raise DataFormatError(f"indexes built in index format {index_format}, this version reads "
                               f"{FORMAT_VERSION}; rebuild the indexes", path=str(manifest_path))
     hashed = {}
-    for name, path, digest in inputs:
-        with suppress(OSError):  # an input gone, or no longer a readable file, has changed
-            hashed[path] = _sha256(path)
-        if hashed.get(path) != digest:
+    for name, path, digest, stat in inputs:
+        try:
+            unchanged = _unchanged(path, digest, stat, hashed)
+        except OSError:  # an input gone, or no longer a readable file, has changed
+            unchanged = False
+        if not unchanged:
             raise DataFormatError(f"input {name!r} changed since build; rebuild the indexes",
                                   path=path)
-    # the indexes hold the build's lemmas, so a query must lemmatize with its table,
-    # which, when configured, is most often an input just hashed
+    # the indexes hold the build's lemmas, so a query must lemmatize with its table:
+    # the build's own file, unchanged, or one with its bytes
     try:
-        digest = hashed.get(cfg.lemma_table) or _lemma_table_file(cfg, _sha256)
+        unchanged = _lemma_table_file(cfg, lambda p: _unchanged(str(p), *lemma_table, hashed))
     except OSError as e:
         raise DataFormatError(f"cannot read lemma table: {e.strerror}", path=cfg.lemma_table)
-    if digest != lemma_table_sha256:
+    if not unchanged:
         table = cfg.lemma_table or f"{text.DEFAULT_LEMMA_TABLE} (bundled)"
         raise DataFormatError(f"lemma table {table} is not the one the indexes were built with; "
                               "give that table or rebuild the indexes")

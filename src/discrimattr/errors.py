@@ -27,11 +27,11 @@ class DataFormatError(DiscrimAttrError):
 
 @contextmanager
 def open_text(path, newline=None):
-    """`path` read as UTF-8 text; a file that cannot be opened or decoded is a
-    `DataFormatError` naming it. Keep the block to reading: any `OSError` in it
-    is reported as this file's."""
+    """`path` read as UTF-8 text, a leading byte-order mark dropped; a file that
+    cannot be opened or decoded is a `DataFormatError` naming it. Keep the block
+    to reading: any `OSError` in it is reported as this file's."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except (OSError, UnicodeDecodeError) as e:
         raise DataFormatError(f"cannot read: {e}", path=str(path))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -38,6 +39,32 @@ def write_config(tmp_path, name="config.json", **extra):
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def settle(*paths):
+    """Returns once a directory made now changes later than `paths` did: a build
+    that starts after this records their stats."""
+    newest = max(os.stat(p).st_ctime_ns for p in paths)
+    probe = Path(paths[0]).with_name(".settle")
+    while True:
+        probe.mkdir()
+        later = os.stat(probe).st_ctime_ns > newest
+        probe.rmdir()
+        if later:
+            return
+        time.sleep(0.001)
+
+
+def counted_hashes(monkeypatch):
+    """The paths `cli` hashes from now on, in order."""
+    hashed, sha256 = [], cli._sha256
+
+    def counting_sha256(path):
+        hashed.append(str(path))
+        return sha256(path)
+
+    monkeypatch.setattr(cli, "_sha256", counting_sha256)
+    return hashed
 
 
 @pytest.fixture
@@ -161,6 +188,7 @@ def test_vocabulary_is_fixed_at_build(tmp_path, capsys, monkeypatch):
         {"role": "differentia_quality", "text": "long whiskers"}]}) + "\n", encoding="utf-8")
     table = tmp_path / "lemmas.tsv"
     table.write_text("whiskers\thair\n", encoding="utf-8")
+    settle(defs, table)
     out = tmp_path / "out"
     build_cfg = tmp_path / "build.json"
     build_cfg.write_text(json.dumps({"definitions": str(defs), "lemma_table": str(table),
@@ -194,17 +222,15 @@ def test_vocabulary_is_fixed_at_build(tmp_path, capsys, monkeypatch):
     assert main(["classify", "--config", str(cfg), "--lemma-table", str(other),
                  "cat", "lion", "hair"]) == 2
     assert str(other) in capsys.readouterr().err
-    # the build's own table is one of its inputs, and is hashed once per command
-    hashed, sha256 = [], cli._sha256
-
-    def counting_sha256(path):
-        hashed.append(str(path))
-        return sha256(path)
-
-    monkeypatch.setattr(cli, "_sha256", counting_sha256)
-    assert main(["classify", "--config", str(cfg), "--lemma-table", str(table),
-                 "cat", "lion", "hair"]) == 0
-    assert sorted(hashed) == sorted({str(defs), str(table)})
+    # the build's own table is one of its inputs: after an unchanged build nothing is
+    # hashed, and after a touch only the touched input
+    hashed = counted_hashes(monkeypatch)
+    query = ["classify", "--config", str(cfg), "--lemma-table", str(table), "cat", "lion", "hair"]
+    assert main(query) == 0
+    assert hashed == []
+    os.utime(defs)
+    assert main(query) == 0
+    assert hashed == [str(defs)]
 
 
 def test_classify_without_build_exits_2(tmp_path, capsys):
@@ -269,6 +295,108 @@ def test_query_lemma_table_that_cannot_be_read_exits_2(built, tmp_path, capsys, 
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--lemma-table", str(table), *triple]) == 2
     assert f"{table}: cannot read lemma table" in capsys.readouterr().err
+
+
+def _rewrite_in_place(path):
+    """`path` rewritten to other bytes of the same size, its mtime set back."""
+    st = os.stat(path)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"red", b"tan"))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    now = os.stat(path)
+    assert (now.st_size, now.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    assert path.read_bytes() != data
+
+
+def _built_with_own_definitions(tmp_path):
+    defs = tmp_path / "definitions.jsonl"
+    defs.write_bytes((DATA / "definitions.jsonl").read_bytes())
+    settle(defs)
+    cfg = write_config(tmp_path, definitions=str(defs))
+    assert main(["build", "--config", str(cfg)]) == 0
+    return cfg, defs
+
+
+def _manifest_of(cfg):
+    out = Path(json.loads(cfg.read_text(encoding="utf-8"))["output_dir"])
+    return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+def test_rewrite_with_its_size_and_mtime_kept_is_a_changed_input(tmp_path, capsys, command):
+    # the change time, which no user-space call sets back, gives it away
+    cfg, defs = _built_with_own_definitions(tmp_path)
+    assert "stat" in _manifest_of(cfg)["inputs"]["definitions"]
+    _rewrite_in_place(defs)
+    triple = ["apple", "banana", "red"] if command == "classify" else []
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *triple]) == 2
+    assert f"{defs}: input 'definitions' changed since build" in capsys.readouterr().err
+
+
+def test_manifest_without_stats_hashes_every_input_and_passes(built, monkeypatch, capsys):
+    # a manifest written before stats were recorded
+    cfg, out = built
+    manifest = _manifest_of(cfg)
+    assert "lemma_table_stat" in manifest
+    del manifest["lemma_table_stat"]
+    for entry in manifest["inputs"].values():
+        del entry["stat"]
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    hashed = counted_hashes(monkeypatch)
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
+    assert sorted(hashed) == sorted(e["path"] for e in manifest["inputs"].values())
+
+
+def test_input_changed_after_the_build_started_has_no_stat_and_is_hashed(tmp_path, monkeypatch,
+                                                                          capsys):
+    # changed after the staging directory was made, before any input was read: the
+    # indexes hold its new bytes, but its stat cannot vouch for them
+    defs = tmp_path / "definitions.jsonl"
+    defs.write_bytes((DATA / "definitions.jsonl").read_bytes())
+    settle(defs)
+    cfg = write_config(tmp_path, definitions=str(defs))
+    stat = cli._stat
+
+    def rewriting_stat(path):
+        if path == str(defs) and not rewritten:
+            rewritten.append(path)
+            _rewrite_in_place(defs)
+        return stat(path)
+
+    rewritten = []
+    monkeypatch.setattr(cli, "_stat", rewriting_stat)
+    assert main(["build", "--config", str(cfg)]) == 0
+    assert rewritten
+    inputs = _manifest_of(cfg)["inputs"]
+    assert "stat" not in inputs["definitions"]
+    assert all("stat" in entry for name, entry in inputs.items() if name != "definitions")
+    hashed = counted_hashes(monkeypatch)
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "tan"]) == 0
+    assert hashed == [str(defs)]
+    assert capsys.readouterr().out.splitlines()[0] == "apple,banana,tan,1"
+
+
+def test_input_rewritten_while_the_build_reads_fails_it(tmp_path, monkeypatch, capsys):
+    # rewritten after its ingest: a digest of its new bytes would vouch for indexes of the
+    # old. The previous build is kept, and it does not hold the new bytes either
+    cfg, defs = _built_with_own_definitions(tmp_path)
+    out = tmp_path / "out"
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    load_assertions = commonsense.load_assertions
+
+    def rewriting_load(*args):
+        _rewrite_in_place(defs)
+        return load_assertions(*args)
+
+    monkeypatch.setattr(commonsense, "load_assertions", rewriting_load)
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 2
+    assert f"{defs}: changed while the build ran" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 2
+    assert f"{defs}: input 'definitions' changed since build" in capsys.readouterr().err
 
 
 def _without_index_format(out):
@@ -827,6 +955,31 @@ def test_unreadable_input_exits_naming_it(built, tmp_path, capsys, command, key,
     assert str(path) in capsys.readouterr().err
 
 
+BOM_INPUTS = [("definitions", "definitions.jsonl"), ("assertions", "assertions.tsv"),
+              ("assertions", "assertions_conceptnet.tsv"), ("scene_graphs", "vg_objects.json"),
+              ("scene_graphs", "scene_regions.jsonl"), ("lemma_table", "lemmas.tsv"),
+              ("stopwords", "stopwords.txt"), ("gold", "gold.csv"),
+              ("annotations", "annotations.csv")]
+
+
+@pytest.mark.parametrize("key,source", BOM_INPUTS, ids=[source for _, source in BOM_INPUTS])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, key, source):
+    # every output but the manifest, which hashes the raw bytes, is the one without it
+    written = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path = tmp_path / ("marked" if mark else "plain") / source
+        path.parent.mkdir()
+        path.write_bytes(mark + (DATA / source).read_bytes())
+        cfg = write_config(tmp_path, **{key: [str(path)] if key == "scene_graphs" else str(path)})
+        capsys.readouterr()
+        codes = [main([command, "--config", str(cfg)]) for command in ("build", "evaluate")]
+        out = tmp_path / "out"
+        files = {name: (out / name).read_bytes() for name in (*cli.STORE_FILES.values(),
+                 "verdicts.jsonl", "semeval.csv", "report.txt", "report.json")}
+        written.append((codes, capsys.readouterr(), files))
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize("header", ["", "pivot,comparison,attribute\n",
                                     " Pivot,COMPARISON , attribute,label\n"],
                          ids=["no-header", "header", "header-with-label"])
@@ -896,13 +1049,26 @@ def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
 
-def test_cli_import_skips_what_only_some_commands_use():
-    # no timing gate: only which modules `import discrimattr.cli` adds
-    code = ("import sys; before = set(sys.modules); import discrimattr.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+def fresh_python(code, *args):
+    """The stdout of `code` run with `args` by a new interpreter that imports this package."""
     src = str(Path(discrimattr.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           encoding="utf-8", check=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          encoding="utf-8", check=True).stdout
+
+
+def test_cli_import_skips_what_only_some_commands_use():
+    # no timing gate: only which modules `import discrimattr.cli` adds
+    added = fresh_python("import sys; before = set(sys.modules); import discrimattr.cli; "
+                         "print(*sorted(set(sys.modules) - before))").split()
     assert "discrimattr.cli" in added
     assert not {"dataclasses", "inspect", "hashlib", "discrimattr.evaluation"} & set(added)
+
+
+def test_evaluate_on_an_unchanged_build_does_not_import_hashlib(built):
+    # the recorded stats vouch for every input, so nothing is hashed
+    cfg, _ = built
+    stdout = fresh_python("import sys; from discrimattr.cli import main; "
+                          "code = main(['evaluate', '--config', sys.argv[1]]); "
+                          "print(code, 'hashlib' in sys.modules)", str(cfg))
+    assert stdout.splitlines()[-1] == "0 False"
