@@ -36,6 +36,10 @@ STORE_FILES = {
 }
 _PATH_KEYS = ("definitions", "assertions", "lemma_table", "stopwords", "gold", "annotations")
 _VERDICT_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # one, for every verdict
+# an input may sit on a filesystem that keeps coarser times than the output directory
+# (whole seconds on some), so a change time within this of the build's start may belong
+# to a change made after it: the coarsest change-time granularity trusted
+_CTIME_SLACK_NS = 2_000_000_000
 
 
 class RunConfig:
@@ -171,10 +175,10 @@ def _stat(path):
 
 
 def _record(path, start, before):
-    """The sha256 of `path` and, if it last changed before the build's `start`,
-    `before`: its stat from before the build read it, which any later change
-    moves. It must still have that stat once hashed, or the digest could name
-    other bytes than the indexes hold."""
+    """The sha256 of `path` and, if it last changed more than `_CTIME_SLACK_NS`
+    before the build's `start`, `before`: its stat from before the build read
+    it, which any later change moves. It must still have that stat once
+    hashed, or the digest could name other bytes than the indexes hold."""
     try:
         record = {"sha256": _sha256(path)}
         changed = _stat(path) != before
@@ -183,7 +187,7 @@ def _record(path, start, before):
     if changed:
         raise DataFormatError("changed while the build ran; run `discrimattr build` again",
                               path=str(path))
-    if before[2] < start:
+    if before[2] < start - _CTIME_SLACK_NS:
         record["stat"] = before
     return record
 

@@ -117,9 +117,8 @@ class DefinitionStore:
         evidence = []
         for lemma, path in zip(*self._lineage(term, max_depth)) if positions else ():
             if lemma in positions:
-                named = positions[lemma].split(" ")  # in order: the last is the furthest
-                segments = self.records[lemma].split("\n", int(named[-1]) + 1)
-                for i in named:
+                segments = self.records[lemma].split("\n")
+                for i in positions[lemma].split(" "):
                     sense, role, text = segments[int(i)].split("\t")
                     evidence.append(DefinitionEvidence(lemma, sense, role, text, path))
         return MembershipResult(member=bool(evidence), evidence=tuple(evidence))

@@ -41,18 +41,19 @@ def write_config(tmp_path, name="config.json", **extra):
     return path
 
 
-def settle(*paths):
-    """Returns once a directory made now changes later than `paths` did: a build
-    that starts after this records their stats."""
-    newest = max(os.stat(p).st_ctime_ns for p in paths)
-    probe = Path(paths[0]).with_name(".settle")
+def settle(tmp_path, *paths):
+    """Returns once a directory made in `tmp_path` now changes more than the build's
+    change-time slack later than `paths` did: a build that starts after this records
+    their stats."""
+    newest = max(os.stat(p).st_ctime_ns for p in paths) + cli._CTIME_SLACK_NS
+    probe = tmp_path / ".settle"
     while True:
         probe.mkdir()
         later = os.stat(probe).st_ctime_ns > newest
         probe.rmdir()
         if later:
             return
-        time.sleep(0.001)
+        time.sleep(0.01)
 
 
 def counted_hashes(monkeypatch):
@@ -69,6 +70,8 @@ def counted_hashes(monkeypatch):
 
 @pytest.fixture
 def built(tmp_path):
+    # in a fresh checkout, waits until the build records every input's stat
+    settle(tmp_path, *DATA.iterdir())
     cfg = write_config(tmp_path)
     assert main(["build", "--config", str(cfg)]) == 0
     return cfg, tmp_path / "out"
@@ -188,7 +191,7 @@ def test_vocabulary_is_fixed_at_build(tmp_path, capsys, monkeypatch):
         {"role": "differentia_quality", "text": "long whiskers"}]}) + "\n", encoding="utf-8")
     table = tmp_path / "lemmas.tsv"
     table.write_text("whiskers\thair\n", encoding="utf-8")
-    settle(defs, table)
+    settle(tmp_path, defs, table)
     out = tmp_path / "out"
     build_cfg = tmp_path / "build.json"
     build_cfg.write_text(json.dumps({"definitions": str(defs), "lemma_table": str(table),
@@ -311,7 +314,7 @@ def _rewrite_in_place(path):
 def _built_with_own_definitions(tmp_path):
     defs = tmp_path / "definitions.jsonl"
     defs.write_bytes((DATA / "definitions.jsonl").read_bytes())
-    settle(defs)
+    settle(tmp_path, defs)
     cfg = write_config(tmp_path, definitions=str(defs))
     assert main(["build", "--config", str(cfg)]) == 0
     return cfg, defs
@@ -348,13 +351,39 @@ def test_manifest_without_stats_hashes_every_input_and_passes(built, monkeypatch
     assert sorted(hashed) == sorted(e["path"] for e in manifest["inputs"].values())
 
 
+def test_input_changed_just_before_the_build_on_a_coarser_clock_has_no_stat(tmp_path,
+                                                                          monkeypatch, capsys):
+    # its change time, kept in whole seconds, reads older than the build's start, yet a
+    # rewrite later in that second would keep it: within the slack no stat is recorded
+    stat = cli._stat
+
+    def whole_seconds(path):
+        st = stat(path)
+        st[2] -= st[2] % 1_000_000_000
+        return st
+
+    monkeypatch.setattr(cli, "_stat", whole_seconds)
+    settle(tmp_path, *DATA.iterdir())
+    defs = tmp_path / "definitions.jsonl"
+    defs.write_bytes((DATA / "definitions.jsonl").read_bytes())
+    cfg = write_config(tmp_path, definitions=str(defs))
+    assert main(["build", "--config", str(cfg)]) == 0
+    inputs = _manifest_of(cfg)["inputs"]
+    assert "stat" not in inputs["definitions"]
+    assert all("stat" in entry for name, entry in inputs.items() if name != "definitions")
+    _rewrite_in_place(defs)
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 2
+    assert f"{defs}: input 'definitions' changed since build" in capsys.readouterr().err
+
+
 def test_input_changed_after_the_build_started_has_no_stat_and_is_hashed(tmp_path, monkeypatch,
                                                                           capsys):
     # changed after the staging directory was made, before any input was read: the
     # indexes hold its new bytes, but its stat cannot vouch for them
     defs = tmp_path / "definitions.jsonl"
     defs.write_bytes((DATA / "definitions.jsonl").read_bytes())
-    settle(defs)
+    settle(tmp_path, defs)
     cfg = write_config(tmp_path, definitions=str(defs))
     stat = cli._stat
 
