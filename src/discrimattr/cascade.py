@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from . import commonsense, definitions, visual
 from .commonsense import CkgStore, EdgeEvidence
 from .definitions import DEFAULT_MAX_DEPTH, DefinitionEvidence, DefinitionStore
 from .errors import EvidenceError
@@ -88,17 +89,24 @@ class StoreSet(NamedTuple):
 
 
 class Stage(NamedTuple):
-    """One knowledge component: the store it asks and with which options,
+    """One knowledge component: how its store is ingested, loaded and asked,
     its evidence type and the template that explains a verdict it decides."""
 
     name: str
     kind: str  # "intensional" or "extensional"
     template_id: str
     template: str
-    store: str  # the `StoreSet` field of the store it asks
+    store: str  # the `StoreSet` field, the index file's stem and the manifest's count key
     ask: Callable  # (store method, term, attribute, config) -> method(term, attribute, options)
     evidence_type: type  # decodes stored evidence with `from_dict`
     slots: Callable  # evidence tuple -> the template's evidence slots
+    ingest: Callable  # (run config, lemma table, stopwords) -> store, empty when unconfigured
+    load: Callable  # decoded index -> store
+    count: Callable  # store -> (documents, skipped records)
+
+    @property
+    def index_file(self):
+        return f"{self.store}.index.json"
 
 
 def _dbm_slots(evidence):
@@ -123,7 +131,7 @@ def _vfm_slots(evidence):
             "regions": ", ".join(f"img {img}/r{reg}" for img, reg in ev.regions)}
 
 
-# Queries look store methods up per call, so a later class-level wrapper sees them.
+# Stages look store methods and module functions up per call, so a later wrapper sees them.
 STAGES = {s.name: s for s in (
     Stage(
         "DBM", "intensional", "dbm.v1",
@@ -134,6 +142,11 @@ STAGES = {s.name: s for s in (
         "definitions",
         lambda method, term, attribute, config: method(term, attribute, config.dbm_max_depth),
         DefinitionEvidence, _dbm_slots,
+        ingest=lambda cfg, lemma_table, stopwords: (
+            definitions.load_definitions(cfg.definitions, lemma_table, stopwords) if cfg.definitions
+            else definitions._build_store([], lemma_table, stopwords)),
+        load=lambda data: definitions.store_from_dict(data),
+        count=lambda store: (store.space.document_count, 0),
     ),
     Stage(
         "CKG", "intensional", "ckg.v1",
@@ -142,6 +155,12 @@ STAGES = {s.name: s for s in (
         "while no edge links '{comparison}' and '{attribute}'.",
         "commonsense", lambda method, term, attribute, config: method(term, attribute),
         EdgeEvidence, _ckg_slots,
+        ingest=lambda cfg, lemma_table, _: (
+            commonsense.load_assertions(cfg.assertions, lemma_table, cfg.language)
+            if cfg.assertions else CkgStore.build([])),
+        load=lambda data: CkgStore.from_dict(data),
+        count=lambda store: (sum(pairs.count("\t") + 1 for ends in store.edges.values()
+                                 for pairs in ends.values()) // 2, store.skipped),  # 2 fields each
     ),
     Stage(
         "VFM", "extensional", "vfm.v1",
@@ -152,6 +171,10 @@ STAGES = {s.name: s for s in (
         lambda method, term, attribute, config: method(
             term, attribute, config.vfm_min_count, config.vfm_use_sor),
         RegionEvidence, _vfm_slots,
+        ingest=lambda cfg, lemma_table, stopwords: visual.load_scene_graphs(
+            cfg.scene_graphs, lemma_table, stopwords),
+        load=lambda data: VisualStore.from_dict(data),
+        count=lambda store: (sum(map(len, store.oa_index.values())), store.skipped),
     ),
 )}
 

@@ -18,22 +18,14 @@ from contextlib import contextmanager
 from pathlib import Path
 
 # `evaluation` loads in the commands that use it, `hashlib` only when a file must be hashed
-from . import commonsense, definitions, text, visual
+from . import text
 from .cascade import STAGES, CascadeConfig, classify_batch, render_explanation
-from .commonsense import CkgStore
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError, open_text
 from .index import FORMAT_VERSION, atomic_open, dump_json, load_json
 from .text import lemma_of
 from .types import COMPONENTS, Term, Triple
-from .visual import VisualStore
 
 DATA_DIR_ENV = "DISCRIMATTR_DATA_DIR"
-
-STORE_FILES = {
-    "definitions": "definitions.index.json",
-    "commonsense": "commonsense.index.json",
-    "visual": "visual.index.json",
-}
 _PATH_KEYS = ("definitions", "assertions", "lemma_table", "stopwords", "gold", "annotations")
 _VERDICT_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # one, for every verdict
 # an input may sit on a filesystem that keeps coarser times than the output directory
@@ -49,38 +41,24 @@ class RunConfig:
         self.scene_graphs = []
         self.output_dir = "out"
         self.language = "en"
-        defaults = CascadeConfig._field_defaults
-        self.stage_order = list(defaults["stage_order"])
-        self.dbm_max_depth = defaults["dbm_max_depth"]
-        self.vfm_min_count = defaults["vfm_min_count"]
-        self.vfm_use_sor = defaults["vfm_use_sor"]
+        for key, value in CascadeConfig._field_defaults.items():  # a tuple is a list in JSON
+            setattr(self, key, list(value) if type(value) is tuple else value)
         self.verbose = False
 
     def cascade_config(self) -> CascadeConfig:
-        return CascadeConfig(
-            stage_order=tuple(self.stage_order),
-            dbm_max_depth=self.dbm_max_depth,
-            vfm_min_count=self.vfm_min_count,
-            vfm_use_sor=self.vfm_use_sor,
-        )
+        values = (getattr(self, key) for key in CascadeConfig._fields)
+        return CascadeConfig._make(tuple(v) if type(v) is list else v for v in values)
 
     def to_dict(self):
         # `verbose` is a per-run switch: not in config files or the manifest
         return {k: v for k, v in vars(self).items() if k != "verbose"}
 
     def input_paths(self):
-        paths = {}
-        if self.definitions:
-            paths["definitions"] = self.definitions
-        for i, p in enumerate(self.scene_graphs):
-            paths[f"scene_graphs[{i}]"] = p
-        if self.assertions:
-            paths["assertions"] = self.assertions
-        if self.lemma_table:
-            paths["lemma_table"] = self.lemma_table
-        if self.stopwords:
-            paths["stopwords"] = self.stopwords
-        return paths
+        paths = {"definitions": self.definitions,
+                 **{f"scene_graphs[{i}]": p for i, p in enumerate(self.scene_graphs)},
+                 "assertions": self.assertions, "lemma_table": self.lemma_table,
+                 "stopwords": self.stopwords}
+        return {name: path for name, path in paths.items() if path}
 
 
 def _resolve(path, base):
@@ -194,15 +172,15 @@ def _record(path, start, before):
 
 def _manifest(cfg, start, before):
     """`before`: each input's stat, taken after `start` and before any read."""
-    manifest = {
-        "index_format": FORMAT_VERSION,
-        "inputs": {name: {"path": p, **_record(p, start, before[p])}
-                   for name, p in cfg.input_paths().items()},
-        "config": cfg.to_dict(),
-    }
-    table = _lemma_table_file(cfg, lambda p: _record(p, start, before.get(p) or _stat(p)))
-    for key, value in table.items():
-        manifest[f"lemma_table_{key}"] = value
+    inputs = {name: {"path": p, **_record(p, start, before[p])}
+              for name, p in cfg.input_paths().items()}
+    manifest = {"index_format": FORMAT_VERSION, "inputs": inputs, "config": cfg.to_dict()}
+    # a configured table is one of the inputs, hashed once; the bundled one is read here
+    table = inputs.get("lemma_table") or text.bundled(
+        text.DEFAULT_LEMMA_TABLE, lambda p: _record(p, start, _stat(p)))
+    for key in ("sha256", "stat"):
+        if key in table:
+            manifest[f"lemma_table_{key}"] = table[key]
     return manifest
 
 
@@ -216,22 +194,11 @@ def _unchanged(path, digest, stat, hashed):
     return hashed[path] == digest
 
 
-def _stage(name, cfg, lemma_table, stopwords, path):
-    """Ingests store `name`, writes its index to `path`; only (count, skipped) outlive the call."""
-    if name == "definitions":
-        store = (definitions.load_definitions(cfg.definitions, lemma_table, stopwords)
-                 if cfg.definitions else definitions._build_store([], lemma_table, stopwords))
-        count, skipped = store.space.document_count, 0
-    elif name == "commonsense":
-        store = (commonsense.load_assertions(cfg.assertions, lemma_table, cfg.language)
-                 if cfg.assertions else CkgStore.build([]))
-        count, skipped = sum(pairs.count("\t") + 1 for ends in store.edges.values()
-                             for pairs in ends.values()) // 2, store.skipped  # 2 fields each
-    else:
-        store = visual.load_scene_graphs(cfg.scene_graphs, lemma_table, stopwords)
-        count, skipped = sum(map(len, store.oa_index.values())), store.skipped
-    dump_json(store.to_dict(), path)
-    return count, skipped
+def _stage(stage, cfg, lemma_table, stopwords, staged):
+    """Ingests `stage`'s store, writes its index into `staged`; only its counts outlive the call."""
+    store = stage.ingest(cfg, lemma_table, stopwords)
+    dump_json(store.to_dict(), Path(staged, stage.index_file))
+    return stage.count(store)
 
 
 def cmd_build(cfg) -> int:
@@ -250,20 +217,20 @@ def cmd_build(cfg) -> int:
         lemma_table = _load_lemma_table(cfg)
         stopwords = (text.load_stopwords(cfg.stopwords) if cfg.stopwords
                      else text.default_stopwords())
-        counts, skips = zip(*(_stage(name, cfg, lemma_table, stopwords, Path(staged, file))
-                              for name, file in STORE_FILES.items()))
+        counts, skips = zip(*(_stage(stage, cfg, lemma_table, stopwords, staged)
+                              for stage in STAGES.values()))
         gc.collect()  # empties the free lists, so the ingests' memory goes back before `hashlib`
         manifest = _manifest(cfg, start, before)
         # no manifest until the new one: a build that fails between two renames leaves none
         (out / "manifest.json").unlink(missing_ok=True)
-        for file in STORE_FILES.values():
-            os.replace(Path(staged, file), out / file)
-    manifest["document_counts"] = dict(zip(STORE_FILES, counts))
+        for stage in STAGES.values():
+            os.replace(Path(staged, stage.index_file), out / stage.index_file)
+    manifest["document_counts"] = {stage.store: n for stage, n in zip(STAGES.values(), counts)}
     if skipped := sum(skips):
         manifest["skipped_records"] = skipped
         print(f"warning: skipped {skipped} malformed records", file=sys.stderr)
     dump_json(manifest, out / "manifest.json")
-    print(f"built 3 stores in {cfg.output_dir}")
+    print(f"built {len(STAGES)} stores in {cfg.output_dir}")
     for name, count in manifest["document_counts"].items():
         print(f"  {name}: {count} documents")
     return 0
@@ -272,27 +239,37 @@ def cmd_build(cfg) -> int:
 def _check_manifest(cfg, out):
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
-        raise DataFormatError(
-            f"no manifest in {out}; run `discrimattr build` first", path=str(manifest_path)
-        )
+        raise DataFormatError(f"no manifest in {out}; run `discrimattr build` first",
+                              path=str(manifest_path))
     with _malformed(manifest_path):
         manifest = load_json(manifest_path)
         index_format = manifest.get("index_format", 1)  # formats before 2 did not record it
-        inputs = [(name, str(e["path"]), e["sha256"], e.get("stat"))
-                  for name, e in manifest["inputs"].items()]
+        inputs = {name: (str(e["path"]), e["sha256"], e.get("stat"))
+                  for name, e in manifest["inputs"].items()}
         lemma_table = manifest.get("lemma_table_sha256"), manifest.get("lemma_table_stat")
     if index_format != FORMAT_VERSION:
         raise DataFormatError(f"indexes built in index format {index_format}, this version reads "
                               f"{FORMAT_VERSION}; rebuild the indexes", path=str(manifest_path))
+    checks = [(name, *entry, "changed since build") for name, entry in inputs.items()]
+    # an input the query names must be the build's: its own file, checked as such, or one
+    # with its bytes
+    configured = cfg.input_paths()
+    configured.pop("lemma_table", None)  # checked below, configured or not
+    for name, path in configured.items():
+        if name not in inputs:
+            raise DataFormatError(f"input {name!r} was not read by the build; "
+                                  "rebuild the indexes", path=path)
+        if path != inputs[name][0]:
+            checks.append((name, path, inputs[name][1], None,
+                           "is not the file the indexes were built from"))
     hashed = {}
-    for name, path, digest, stat in inputs:
+    for name, path, digest, stat, problem in checks:
         try:
             unchanged = _unchanged(path, digest, stat, hashed)
         except OSError:  # an input gone, or no longer a readable file, has changed
             unchanged = False
         if not unchanged:
-            raise DataFormatError(f"input {name!r} changed since build; rebuild the indexes",
-                                  path=path)
+            raise DataFormatError(f"input {name!r} {problem}; rebuild the indexes", path=path)
     # the indexes hold the build's lemmas, so a query must lemmatize with its table:
     # the build's own file, unchanged, or one with its bytes
     try:
@@ -317,13 +294,6 @@ def _malformed(path, command="build"):
                               f"run `discrimattr {command}`", path=str(path))
 
 
-def _load_store(out, name):
-    from_dict = {"definitions": definitions.store_from_dict, "commonsense": CkgStore.from_dict,
-                 "visual": VisualStore.from_dict}[name]
-    with _malformed(out / STORE_FILES[name]):
-        return from_dict(load_json(out / STORE_FILES[name]))
-
-
 class _OneStore:
     """The stores in `out`, each decoded when first asked for, one at a time."""
 
@@ -332,8 +302,10 @@ class _OneStore:
 
     def __getattr__(self, name):  # called for the store names, which are never set
         if name != self.name:
+            stage = next(s for s in STAGES.values() if s.store == name)
             self.store = self.name = None  # dropped, and unnamed, before the next decode
-            self.store, self.name = _load_store(self.out, name), name
+            with _malformed(self.out / stage.index_file):
+                self.store, self.name = stage.load(load_json(self.out / stage.index_file)), name
         return self.store
 
 

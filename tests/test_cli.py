@@ -102,6 +102,40 @@ def test_build_writes_stores_and_manifest(built, capsys):
     assert all("sha256" in entry for entry in manifest["inputs"].values())
 
 
+ONE_INPUT = [("definitions", "definitions", "DBM", "0.6667"),
+             ("assertions", "commonsense", "CKG", "0.4156"),
+             ("scene_graphs", "visual", "VFM", "0.5500")]
+
+
+@pytest.mark.parametrize("key,store,component,macro_f1", ONE_INPUT,
+                         ids=[key for key, *_ in ONE_INPUT])
+def test_build_from_one_input_leaves_the_other_stores_empty(tmp_path, capsys, key, store,
+                                                            component, macro_f1):
+    unset = {"definitions": None, "assertions": None, "scene_graphs": []}
+    del unset[key]
+    cfg = write_config(tmp_path, **unset)
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out
+    counts = _manifest_of(cfg)["document_counts"]
+    assert [name for name, count in counts.items() if count] == [store]
+    assert all(f"  {name}: 0 documents\n" in printed for name in counts if name != store)
+    assert main(["evaluate", "--config", str(cfg)]) == 0
+    assert f"macro F1: {macro_f1}\n" in capsys.readouterr().out
+    verdicts = (tmp_path / "out" / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {json.loads(v)["deciding_component"] for v in verdicts} == {None, component}
+
+
+@pytest.mark.parametrize("table", ["configured", "bundled"])
+def test_build_hashes_each_input_once(tmp_path, monkeypatch, capsys, table):
+    cfg = write_config(tmp_path, **({} if table == "configured" else {"lemma_table": None}))
+    hashed = counted_hashes(monkeypatch)
+    assert main(["build", "--config", str(cfg)]) == 0
+    inputs = {entry["path"] for entry in _manifest_of(cfg)["inputs"].values()}
+    assert inputs <= set(hashed)
+    assert len(set(hashed)) == len(hashed) == len(inputs) + (table == "bundled")
+
+
 def test_build_missing_input_exits_1(tmp_path, capsys):
     cfg = write_config(tmp_path, definitions=str(tmp_path / "nope.jsonl"))
     assert main(["build", "--config", str(cfg)]) == 1
@@ -267,6 +301,63 @@ def test_manifest_mismatch_refuses(built, tmp_path, capsys):
     manifest["inputs"]["definitions"]["path"] = str(defs2)
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert main(["classify", "--config", str(cfg), "a", "b", "c"]) == 2
+
+
+def _query_config(tmp_path, out, **inputs):
+    cfg = tmp_path / "query.json"
+    cfg.write_text(json.dumps({"output_dir": str(out), "lemma_table": str(DATA / "lemmas.tsv"),
+                               **inputs}), encoding="utf-8")
+    return cfg
+
+
+def test_query_naming_other_inputs_than_the_build_read_exits_2(built, tmp_path, capsys):
+    # the indexes still hold apple's definition, which this file lacks
+    _, out = built
+    defs = tmp_path / "defs2.jsonl"
+    lines = (DATA / "definitions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    defs.write_text("".join(line for line in lines if '"apple"' not in line), encoding="utf-8")
+    cfg = _query_config(tmp_path, out, definitions=str(defs), gold=str(DATA / "gold.csv"))
+    for command in (["classify", "apple", "banana", "red"], ["evaluate"]):
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert (f"{defs}: input 'definitions' is not the file the indexes were built from"
+                in capsys.readouterr().err)
+    # an input the build did not read at all
+    unread = tmp_path / "unread"
+    assert main(["build", "--config", str(write_config(tmp_path, "unread.json", assertions=None,
+                                                       output_dir=str(unread)))]) == 0
+    cfg = _query_config(tmp_path, unread, assertions=str(DATA / "assertions.tsv"))
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 2
+    assert (f"{DATA / 'assertions.tsv'}: input 'assertions' was not read by the build"
+            in capsys.readouterr().err)
+
+
+def test_query_naming_a_copy_of_an_input_hashes_the_copy_and_passes(built, tmp_path,
+                                                                    monkeypatch, capsys):
+    cfg, out = built
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
+    expected = capsys.readouterr().out
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes((DATA / "definitions.jsonl").read_bytes())
+    hashed = counted_hashes(monkeypatch)
+    assert main(["classify", "--config", str(_query_config(tmp_path, out, definitions=str(copy))),
+                 "apple", "banana", "red"]) == 0
+    assert capsys.readouterr().out == expected
+    assert hashed == [str(copy)]
+
+
+def test_query_naming_the_builds_own_inputs_stats_each_once_and_hashes_none(built, monkeypatch,
+                                                                            capsys):
+    cfg, _ = built
+    stat, stats = cli._stat, []
+    monkeypatch.setattr(cli, "_stat", lambda path: stats.append(str(path)) or stat(path))
+    hashed = counted_hashes(monkeypatch)
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
+    assert hashed == []
+    # the lemma table is statted twice: as an input, and as the table in effect
+    inputs = [entry["path"] for entry in _manifest_of(cfg)["inputs"].values()]
+    assert sorted(stats) == sorted([*inputs, str(DATA / "lemmas.tsv")])
 
 
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
@@ -1003,8 +1094,9 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, key, source):
         capsys.readouterr()
         codes = [main([command, "--config", str(cfg)]) for command in ("build", "evaluate")]
         out = tmp_path / "out"
-        files = {name: (out / name).read_bytes() for name in (*cli.STORE_FILES.values(),
-                 "verdicts.jsonl", "semeval.csv", "report.txt", "report.json")}
+        files = {name: (out / name).read_bytes() for name in (
+            "definitions.index.json", "commonsense.index.json", "visual.index.json",
+            "verdicts.jsonl", "semeval.csv", "report.txt", "report.json")}
         written.append((codes, capsys.readouterr(), files))
     assert written[0] == written[1]
 
