@@ -17,7 +17,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-# `evaluation` loads in the commands that use it, `hashlib` only when a file must be hashed
+# `evaluation` loads in the commands that use it, `hashlib` only when a digest is needed
 from . import text
 from .cascade import STAGES, CascadeConfig, classify_batch, render_explanation
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError, open_text
@@ -28,6 +28,7 @@ from .types import COMPONENTS, Term, Triple
 DATA_DIR_ENV = "DISCRIMATTR_DATA_DIR"
 _PATH_KEYS = ("definitions", "assertions", "lemma_table", "stopwords", "gold", "annotations")
 _VERDICT_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False)  # one, for every verdict
+_BUNDLED = Path(text.__file__).with_name("data")  # the lemma table and stopwords used when unset
 # an input may sit on a filesystem that keeps coarser times than the output directory
 # (whole seconds on some), so a change time within this of the build's start may belong
 # to a change made after it: the coarsest change-time granularity trusted
@@ -97,6 +98,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
         value = getattr(cfg, attr)
         if value:
             setattr(cfg, attr, _resolve(value, base))
+    cfg.lemma_table = cfg.lemma_table or str(_BUNDLED / "lemmas.tsv")  # an input like any other
     cfg.scene_graphs = [_resolve(p, base) for p in cfg.scene_graphs]
     cfg.output_dir = _resolve(cfg.output_dir, base)
     return cfg
@@ -127,15 +129,6 @@ def _validate_inputs(cfg):
             raise ConfigError(f"input path for {name!r} does not exist: {path}")
 
 
-def _lemma_table_file(cfg, read):
-    """`read(path)` of the lemma table in effect: the configured one, else the bundled one."""
-    return read(cfg.lemma_table) if cfg.lemma_table else text.bundled(text.DEFAULT_LEMMA_TABLE, read)
-
-
-def _load_lemma_table(cfg):
-    return _lemma_table_file(cfg, text.load_lemma_table)
-
-
 def _sha256(path):
     import hashlib
     h = hashlib.sha256()
@@ -155,8 +148,8 @@ def _stat(path):
 def _record(path, start, before):
     """The sha256 of `path` and, if it last changed more than `_CTIME_SLACK_NS`
     before the build's `start`, `before`: its stat from before the build read
-    it, which any later change moves. It must still have that stat once
-    hashed, or the digest could name other bytes than the indexes hold."""
+    it, which any later change moves. It must still have that stat after the
+    digest is taken, or the digest could name other bytes than the indexes hold."""
     try:
         record = {"sha256": _sha256(path)}
         changed = _stat(path) != before
@@ -174,24 +167,13 @@ def _manifest(cfg, start, before):
     """`before`: each input's stat, taken after `start` and before any read."""
     inputs = {name: {"path": p, **_record(p, start, before[p])}
               for name, p in cfg.input_paths().items()}
-    manifest = {"index_format": FORMAT_VERSION, "inputs": inputs, "config": cfg.to_dict()}
-    # a configured table is one of the inputs, hashed once; the bundled one is read here
-    table = inputs.get("lemma_table") or text.bundled(
-        text.DEFAULT_LEMMA_TABLE, lambda p: _record(p, start, _stat(p)))
-    for key in ("sha256", "stat"):
-        if key in table:
-            manifest[f"lemma_table_{key}"] = table[key]
-    return manifest
+    return {"index_format": FORMAT_VERSION, "inputs": inputs, "config": cfg.to_dict()}
 
 
-def _unchanged(path, digest, stat, hashed):
+def _unchanged(path, digest, stat):
     """Whether `path` still holds the bytes of `digest`: read only when its stat
-    is not the recorded `stat`, and hashed at most once into `hashed`."""
-    if stat is not None and _stat(path) == stat:
-        return True
-    if path not in hashed:
-        hashed[path] = _sha256(path)
-    return hashed[path] == digest
+    is not the recorded `stat`."""
+    return stat is not None and _stat(path) == stat or _sha256(path) == digest
 
 
 def _stage(stage, cfg, lemma_table, stopwords, staged):
@@ -214,9 +196,9 @@ def cmd_build(cfg) -> int:
             before = {p: _stat(p) for p in cfg.input_paths().values()}
         except OSError as e:
             raise DataFormatError(f"cannot read: {e.strerror}", path=e.filename)
-        lemma_table = _load_lemma_table(cfg)
-        stopwords = (text.load_stopwords(cfg.stopwords) if cfg.stopwords
-                     else text.default_stopwords())
+        lemma_table = text.load_lemma_table(cfg.lemma_table)
+        # the bundled stopwords stay out of the config: a query leaving them unset names no input
+        stopwords = text.load_stopwords(cfg.stopwords or _BUNDLED / "stopwords.txt")
         counts, skips = zip(*(_stage(stage, cfg, lemma_table, stopwords, staged)
                               for stage in STAGES.values()))
         gc.collect()  # empties the free lists, so the ingests' memory goes back before `hashlib`
@@ -246,15 +228,13 @@ def _check_manifest(cfg, out):
         index_format = manifest.get("index_format", 1)  # formats before 2 did not record it
         inputs = {name: (str(e["path"]), e["sha256"], e.get("stat"))
                   for name, e in manifest["inputs"].items()}
-        lemma_table = manifest.get("lemma_table_sha256"), manifest.get("lemma_table_stat")
     if index_format != FORMAT_VERSION:
         raise DataFormatError(f"indexes built in index format {index_format}, this version reads "
                               f"{FORMAT_VERSION}; rebuild the indexes", path=str(manifest_path))
+    # every input the build read, at its path; every one the query names, the lemma table
+    # included, must be one of those: that file, or one with its bytes
     checks = [(name, *entry, "changed since build") for name, entry in inputs.items()]
-    # an input the query names must be the build's: its own file, checked as such, or one
-    # with its bytes
     configured = cfg.input_paths()
-    configured.pop("lemma_table", None)  # checked below, configured or not
     for name, path in configured.items():
         if name not in inputs:
             raise DataFormatError(f"input {name!r} was not read by the build; "
@@ -262,24 +242,18 @@ def _check_manifest(cfg, out):
         if path != inputs[name][0]:
             checks.append((name, path, inputs[name][1], None,
                            "is not the file the indexes were built from"))
-    hashed = {}
+    if cfg.scene_graphs:  # the indexes hold every scene graph the build read
+        for name, (path, *_) in inputs.items():
+            if name.startswith("scene_graphs[") and name not in configured:
+                raise DataFormatError(f"input {name!r} was read by the build but the query "
+                                      "does not name it; rebuild the indexes", path=path)
     for name, path, digest, stat, problem in checks:
         try:
-            unchanged = _unchanged(path, digest, stat, hashed)
+            unchanged = _unchanged(path, digest, stat)
         except OSError:  # an input gone, or no longer a readable file, has changed
             unchanged = False
         if not unchanged:
             raise DataFormatError(f"input {name!r} {problem}; rebuild the indexes", path=path)
-    # the indexes hold the build's lemmas, so a query must lemmatize with its table:
-    # the build's own file, unchanged, or one with its bytes
-    try:
-        unchanged = _lemma_table_file(cfg, lambda p: _unchanged(str(p), *lemma_table, hashed))
-    except OSError as e:
-        raise DataFormatError(f"cannot read lemma table: {e.strerror}", path=cfg.lemma_table)
-    if not unchanged:
-        table = cfg.lemma_table or f"{text.DEFAULT_LEMMA_TABLE} (bundled)"
-        raise DataFormatError(f"lemma table {table} is not the one the indexes were built with; "
-                              "give that table or rebuild the indexes")
     return manifest
 
 
@@ -342,7 +316,7 @@ def _write_verdicts(results, out):
 
 def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
     stores = _load_stores(cfg)
-    lemma_table = _load_lemma_table(cfg)
+    lemma_table = text.load_lemma_table(cfg.lemma_table)
     if triple_args:
         triples = [Triple(*(_term(a, lemma_table) for a in triple_args))]
     elif triples_file:
@@ -366,7 +340,7 @@ def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
 
 
 def cmd_explain(cfg, triple_args) -> int:
-    lemma_table = _load_lemma_table(cfg)
+    lemma_table = text.load_lemma_table(cfg.lemma_table)
     triple = Triple(*(_term(a, lemma_table) for a in triple_args))
     path = Path(cfg.output_dir) / "verdicts.jsonl"
     if not path.exists():
@@ -403,7 +377,8 @@ def cmd_evaluate(cfg) -> int:
     if not cfg.gold:
         raise ConfigError("evaluate requires a gold file (config key 'gold' or --gold)")
     stores = _load_stores(cfg)
-    terms = evaluation.Terms(_load_lemma_table(cfg))  # one memo for the gold and annotation reads
+    # one memo for the gold and annotation reads
+    terms = evaluation.Terms(text.load_lemma_table(cfg.lemma_table))
     gold = evaluation.load_gold(cfg.gold, terms)
     annotated = cfg.annotations and Path(cfg.annotations).exists()
     if cfg.annotations and not annotated:

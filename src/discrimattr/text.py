@@ -11,7 +11,6 @@ import re
 from .errors import DataFormatError, open_text
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
-DEFAULT_LEMMA_TABLE = "lemmas.tsv"  # the bundled table, in the package's data files
 
 
 def tokenize(text: str) -> list[str]:
@@ -61,17 +60,6 @@ def load_stopwords(path) -> set[str]:
     """Load a one-lemma-per-line stopword file."""
     with open_text(path) as fh:
         return {line.strip().lower() for line in fh if line.strip() and not line.startswith("#")}
-
-
-def bundled(name, read):
-    """`read(path)` of the package's data file `name`, such as `DEFAULT_LEMMA_TABLE`."""
-    from importlib import resources  # not at import: on 3.12+ it loads `inspect`
-    with resources.as_file(resources.files("discrimattr.data") / name) as p:
-        return read(p)
-
-
-def default_stopwords() -> set[str]:
-    return bundled("stopwords.txt", load_stopwords)
 
 
 def normalize(text: str, lemma_table: dict[str, str], stopwords: set[str]) -> list[str]:

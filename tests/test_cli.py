@@ -21,6 +21,7 @@ from discrimattr.evaluation import load_annotations, load_gold, read_triples
 from discrimattr.text import load_lemma_table
 
 DATA = Path(__file__).parent / "data"
+BUNDLED_TABLE = Path(discrimattr.__file__).with_name("data") / "lemmas.tsv"
 
 
 def write_config(tmp_path, name="config.json", **extra):
@@ -131,9 +132,12 @@ def test_build_hashes_each_input_once(tmp_path, monkeypatch, capsys, table):
     cfg = write_config(tmp_path, **({} if table == "configured" else {"lemma_table": None}))
     hashed = counted_hashes(monkeypatch)
     assert main(["build", "--config", str(cfg)]) == 0
-    inputs = {entry["path"] for entry in _manifest_of(cfg)["inputs"].values()}
-    assert inputs <= set(hashed)
-    assert len(set(hashed)) == len(hashed) == len(inputs) + (table == "bundled")
+    manifest = _manifest_of(cfg)
+    assert sorted(hashed) == sorted(entry["path"] for entry in manifest["inputs"].values())
+    # the table in effect, the bundled one too, is an input like any other
+    expected = str(DATA / "lemmas.tsv" if table == "configured" else BUNDLED_TABLE)
+    assert manifest["inputs"]["lemma_table"]["path"] == expected
+    assert not [key for key in manifest if key.startswith("lemma_table")]
 
 
 def test_build_missing_input_exits_1(tmp_path, capsys):
@@ -238,10 +242,11 @@ def test_vocabulary_is_fixed_at_build(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "classify.json"
     cfg.write_text(json.dumps({"output_dir": str(out), "gold": str(gold)}), encoding="utf-8")
     capsys.readouterr()
+    refused = f"{BUNDLED_TABLE}: input 'lemma_table' is not the file the indexes were built from"
     assert main(["classify", "--config", str(cfg), "cat", "lion", "hair"]) == 2
-    assert "lemmas.tsv (bundled)" in capsys.readouterr().err
+    assert refused in capsys.readouterr().err
     assert main(["evaluate", "--config", str(cfg)]) == 2
-    assert "lemmas.tsv (bundled)" in capsys.readouterr().err
+    assert refused in capsys.readouterr().err
     # under the build's table the query lemmatizes as the index does
     assert main(["classify", "--config", str(cfg), "--lemma-table", str(table),
                  "cat", "lion", "hair"]) == 0
@@ -258,7 +263,8 @@ def test_vocabulary_is_fixed_at_build(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["classify", "--config", str(cfg), "--lemma-table", str(other),
                  "cat", "lion", "hair"]) == 2
-    assert str(other) in capsys.readouterr().err
+    assert (f"{other}: input 'lemma_table' is not the file the indexes were built from"
+            in capsys.readouterr().err)
     # the build's own table is one of its inputs: after an unchanged build nothing is
     # hashed, and after a touch only the touched input
     hashed = counted_hashes(monkeypatch)
@@ -355,9 +361,10 @@ def test_query_naming_the_builds_own_inputs_stats_each_once_and_hashes_none(buil
     hashed = counted_hashes(monkeypatch)
     assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
     assert hashed == []
-    # the lemma table is statted twice: as an input, and as the table in effect
+    # the lemma table is one of the inputs, statted once like the others
     inputs = [entry["path"] for entry in _manifest_of(cfg)["inputs"].values()]
-    assert sorted(stats) == sorted([*inputs, str(DATA / "lemmas.tsv")])
+    assert str(DATA / "lemmas.tsv") in inputs
+    assert sorted(stats) == sorted(inputs)
 
 
 @pytest.mark.parametrize("command", ["classify", "evaluate"])
@@ -388,7 +395,8 @@ def test_query_lemma_table_that_cannot_be_read_exits_2(built, tmp_path, capsys, 
     triple = ["apple", "banana", "red"] if command == "classify" else []
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--lemma-table", str(table), *triple]) == 2
-    assert f"{table}: cannot read lemma table" in capsys.readouterr().err
+    assert (f"{table}: input 'lemma_table' is not the file the indexes were built from"
+            in capsys.readouterr().err)
 
 
 def _rewrite_in_place(path):
@@ -432,14 +440,56 @@ def test_manifest_without_stats_hashes_every_input_and_passes(built, monkeypatch
     # a manifest written before stats were recorded
     cfg, out = built
     manifest = _manifest_of(cfg)
-    assert "lemma_table_stat" in manifest
-    del manifest["lemma_table_stat"]
     for entry in manifest["inputs"].values():
         del entry["stat"]
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     hashed = counted_hashes(monkeypatch)
     assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
     assert sorted(hashed) == sorted(e["path"] for e in manifest["inputs"].values())
+
+
+def test_query_naming_fewer_scene_graphs_than_the_build_read_exits_2(built, tmp_path, capsys):
+    # the indexes also hold the edges of the relationships file, which this query leaves out
+    _, out = built
+    cfg = _query_config(tmp_path, out, scene_graphs=[str(DATA / "scene_regions.jsonl")],
+                        vfm_use_sor=True)
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "--triples-file", str(DATA / "gold.csv")]) == 2
+    assert (f"{DATA / 'scene_relationships.jsonl'}: input 'scene_graphs[1]' was read by the "
+            "build but the query does not name it; rebuild the indexes"
+            in capsys.readouterr().err)
+
+
+def _as_written_before_the_table_was_an_input(cfg):
+    """The build's manifest as versions that recorded the lemma table in effect under
+    `lemma_table_sha256`/`lemma_table_stat`, and under `inputs` only when configured,
+    wrote it."""
+    manifest = _manifest_of(cfg)
+    table = manifest["inputs"]["lemma_table"]
+    if table["path"] == str(BUNDLED_TABLE):
+        del manifest["inputs"]["lemma_table"]
+    manifest.update({f"lemma_table_{key}": value for key, value in table.items() if key != "path"})
+    (Path(manifest["config"]["output_dir"]) / "manifest.json").write_text(json.dumps(manifest),
+                                                                         encoding="utf-8")
+
+
+def test_older_manifest_of_a_bundled_table_build_exits_2_naming_the_table(tmp_path, capsys):
+    cfg = write_config(tmp_path, lemma_table=None)
+    assert main(["build", "--config", str(cfg)]) == 0
+    _as_written_before_the_table_was_an_input(cfg)
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 2
+    assert ("input 'lemma_table' was not read by the build; rebuild the indexes"
+            in capsys.readouterr().err)
+
+
+def test_older_manifest_of_a_configured_table_build_hashes_nothing_and_passes(built,
+                                                                             monkeypatch, capsys):
+    cfg, _ = built
+    _as_written_before_the_table_was_an_input(cfg)
+    hashed = counted_hashes(monkeypatch)
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
+    assert hashed == []
 
 
 def test_input_changed_just_before_the_build_on_a_coarser_clock_has_no_stat(tmp_path,
