@@ -71,14 +71,24 @@ class _CascadeConfig(NamedTuple):
     vfm_use_sor: bool = False
 
 
+_CONFIG_CHECKS = (  # `type(v) is int` also rejects bools
+    ("stage_order", lambda v: type(v) in (tuple, list) and sorted(v, key=str) == sorted(COMPONENTS),
+     f"a permutation of {list(COMPONENTS)}"),
+    ("dbm_max_depth", lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    ("vfm_min_count", lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    ("vfm_use_sor", lambda v: type(v) is bool, "true or false"),
+)
+
+
 class CascadeConfig(_CascadeConfig):
     __slots__ = ()
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if sorted(self.stage_order) != sorted(COMPONENTS):
-            raise ValueError(f"stage_order must be a permutation of {COMPONENTS}")
+        for key, ok, expected in _CONFIG_CHECKS:
+            if not ok(getattr(self, key)):
+                raise ValueError(f"{key!r} must be {expected}, not {getattr(self, key)!r}")
         return self
 
 
@@ -190,45 +200,35 @@ def render_explanation(triple: Triple, component: str, evidence: tuple) -> str:
     )
 
 
-def _fires(stage: Stage, store, triple: Triple, config: CascadeConfig) -> bool:
-    """Whether the stage fires for the triple: attr in pivot, attr not in
-    comparison. The comparison is asked only when the pivot holds."""
-    pivot, comparison, attribute, _ = triple
-    return stage.ask(store.holds, pivot, attribute, config) \
-        and not stage.ask(store.holds, comparison, attribute, config)
-
-
 def classify(triple: Triple, stores: StoreSet,
-             config: CascadeConfig = CascadeConfig(), fired=None) -> Verdict:
+             config: CascadeConfig = CascadeConfig(), decided=None) -> Verdict:
     """Run the cascade; first stage with (attr in pivot) and (attr not in
     comparison) decides. No stage firing means not discriminative.
 
-    `fired` maps every component to the pivot's membership result if that
-    stage fires for this triple, else None, as `classify_batch` asks them.
-    Entries after the first that is not None are never read. Without it,
-    the triple is classified as a batch of one, which asks every stage,
-    so every store of `stores`, whether it fires."""
-    if fired is None:
+    `decided` is the deciding component and the pivot's membership result
+    there, or (None, None), as `classify_batch` asks them. Without it, the
+    triple is classified as a batch of one, which asks every stage, so every
+    store of `stores`, whether it fires."""
+    if decided is None:
         return classify_batch([triple], stores, config)[0][0][1]
-    for component in config.stage_order:
-        pivot_result = fired[component]
-        if pivot_result is not None:
-            stage = STAGES[component]
-            return Verdict(
-                discriminative=True,
-                deciding_component=component,
-                explanation=Explanation(
-                    kind=stage.kind,
-                    template_id=stage.template_id,
-                    pivot_evidence=pivot_result.evidence,
-                    comparison_check=(
-                        f"no {component} evidence links '{triple.attribute.lemma}' "
-                        f"to '{triple.comparison.lemma}'"
-                    ),
-                    rendered_text=render_explanation(triple, component, pivot_result.evidence),
-                ),
-            )
-    return Verdict(discriminative=False)
+    component, pivot_result = decided
+    if component is None:
+        return Verdict(discriminative=False)
+    stage = STAGES[component]
+    return Verdict(
+        discriminative=True,
+        deciding_component=component,
+        explanation=Explanation(
+            kind=stage.kind,
+            template_id=stage.template_id,
+            pivot_evidence=pivot_result.evidence,
+            comparison_check=(
+                f"no {component} evidence links '{triple.attribute.lemma}' "
+                f"to '{triple.comparison.lemma}'"
+            ),
+            rendered_text=render_explanation(triple, component, pivot_result.evidence),
+        ),
+    )
 
 
 def classify_batch(triples, stores: StoreSet, config: CascadeConfig = CascadeConfig()):
@@ -238,22 +238,22 @@ def classify_batch(triples, stores: StoreSet, config: CascadeConfig = CascadeCon
     each component to its standalone per-triple decision, for overlap and
     per-category analysis. Stages go in `config.stage_order`, each asking
     every triple before the next takes its store, so `stores` may hold one
-    store at a time. A membership is asked at most once per triple, evidence
-    only for the deciding pivot; verdicts and bitmaps derive from the answers.
+    store at a time. A stage fires for a triple when it holds the attribute
+    for the pivot and not for the comparison, which is asked only when the
+    pivot holds. A membership is asked at most once per triple, evidence only
+    for the deciding pivot, the first time a stage fires for it.
     """
-    pending = [True] * len(triples)  # no stage has decided the triple yet
-    fired = {}  # as `classify` reads it, but False where an earlier stage decided
+    decided = [(None, None)] * len(triples)
+    bitmaps = {c: [] for c in COMPONENTS}
     for component in config.stage_order:
-        stage, answers = STAGES[component], fired.setdefault(component, [])
+        stage, bitmap = STAGES[component], bitmaps[component]
         store = getattr(stores, stage.store)
-        for i, triple in enumerate(triples):
-            if _fires(stage, store, triple, config):
-                answers.append(pending[i] and stage.ask(
-                    store.has_property, triple.pivot, triple.attribute, config))
-                pending[i] = False
-            else:
-                answers.append(None)
+        for i, (pivot, comparison, attribute, _) in enumerate(triples):
+            fires = stage.ask(store.holds, pivot, attribute, config) \
+                and not stage.ask(store.holds, comparison, attribute, config)
+            bitmap.append(fires)
+            if fires and decided[i][0] is None:
+                decided[i] = component, stage.ask(store.has_property, pivot, attribute, config)
         store = None  # dropped before the next stage decodes its store
-    results = [(triple, classify(triple, stores, config, dict(zip(fired, answers))))
-               for triple, *answers in zip(triples, *fired.values())]
-    return results, {c: [f is not None for f in fired[c]] for c in COMPONENTS}
+    results = [(triple, classify(triple, stores, config, d)) for triple, d in zip(triples, decided)]
+    return results, bitmaps

@@ -23,7 +23,7 @@ from .cascade import STAGES, CascadeConfig, classify_batch, render_explanation
 from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError, open_text
 from .index import FORMAT_VERSION, atomic_open, dump_json, load_json
 from .text import lemma_of
-from .types import COMPONENTS, Term, Triple
+from .types import Term, Triple
 
 DATA_DIR_ENV = "DISCRIMATTR_DATA_DIR"
 _PATH_KEYS = ("definitions", "assertions", "lemma_table", "stopwords", "gold", "annotations")
@@ -109,14 +109,12 @@ def _check_values(cfg):
         if not ok(getattr(cfg, key)):
             raise ConfigError(f"config key {key!r} must be {expected}, not {getattr(cfg, key)!r}")
 
-    # `type(v) is int` also rejects bools
-    check("dbm_max_depth", lambda v: type(v) is int and v >= 0, "an integer >= 0")
-    check("vfm_min_count", lambda v: type(v) is int and v >= 1, "an integer >= 1")
-    check("vfm_use_sor", lambda v: type(v) is bool, "true or false")
+    try:  # the cascade's own keys, checked as the library checks them
+        cfg.cascade_config()
+    except ValueError as e:
+        raise ConfigError(f"config key {e}")
     check("scene_graphs", lambda v: type(v) is list and all(type(s) is str for s in v),
           "a list of strings")
-    check("stage_order", lambda v: type(v) is list and sorted(map(str, v)) == sorted(COMPONENTS),
-          f"a permutation of {list(COMPONENTS)}")
     for key in ("output_dir", "language"):
         check(key, lambda v: type(v) is str, "a string")
     for key in _PATH_KEYS:
@@ -184,6 +182,8 @@ def _stage(stage, cfg, lemma_table, stopwords, staged):
 
 
 def cmd_build(cfg) -> int:
+    # the bundled stopwords are an input of the build, but not of a query that leaves them unset
+    cfg.stopwords = cfg.stopwords or str(_BUNDLED / "stopwords.txt")
     _validate_inputs(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,8 +197,7 @@ def cmd_build(cfg) -> int:
         except OSError as e:
             raise DataFormatError(f"cannot read: {e.strerror}", path=e.filename)
         lemma_table = text.load_lemma_table(cfg.lemma_table)
-        # the bundled stopwords stay out of the config: a query leaving them unset names no input
-        stopwords = text.load_stopwords(cfg.stopwords or _BUNDLED / "stopwords.txt")
+        stopwords = text.load_stopwords(cfg.stopwords)
         counts, skips = zip(*(_stage(stage, cfg, lemma_table, stopwords, staged)
                               for stage in STAGES.values()))
         gc.collect()  # empties the free lists, so the ingests' memory goes back before `hashlib`

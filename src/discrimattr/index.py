@@ -80,22 +80,14 @@ _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",",
 _PIECE = 256  # most entries per encoder call: bounds the encoder's chunk list
 
 
-def _nested(value):
-    return isinstance(value, dict) or isinstance(value, list) and value and isinstance(value[0], dict)
-
-
 def _write(obj, write):
     """`write(_ENCODER.encode(obj))` in pieces of at most `_PIECE` entries; a
-    dict entry whose value is a dict or a list of dicts is written by recursion."""
-    if isinstance(obj, list) and _nested(obj):
-        for i in range(0, len(obj), _PIECE):
-            write(("," if i else "[") + _ENCODER.encode(obj[i:i + _PIECE])[1:-1])
-        write("]")
-    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+    dict entry whose value is a dict is written by recursion."""
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         keys = sorted(obj)
         for i in range(0, len(keys), _PIECE):
             part = {k: obj[k] for k in keys[i:i + _PIECE]}
-            if any(map(_nested, part.values())):
+            if any(isinstance(v, dict) for v in part.values()):
                 for j, key in enumerate(part):
                     write(("," if i or j else "{") + _ENCODER.encode(key) + ":")
                     _write(part[key], write)

@@ -3,6 +3,7 @@ import errno
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -138,6 +139,22 @@ def test_build_hashes_each_input_once(tmp_path, monkeypatch, capsys, table):
     expected = str(DATA / "lemmas.tsv" if table == "configured" else BUNDLED_TABLE)
     assert manifest["inputs"]["lemma_table"]["path"] == expected
     assert not [key for key in manifest if key.startswith("lemma_table")]
+
+
+def test_build_on_the_bundled_stopwords_records_them(tmp_path, monkeypatch, capsys):
+    # a query leaving them unset names no stopwords input, yet the build read them
+    bundled = tmp_path / "data"
+    shutil.copytree(cli._BUNDLED, bundled)
+    monkeypatch.setattr(cli, "_BUNDLED", bundled)
+    cfg = write_config(tmp_path, stopwords=None)
+    assert main(["build", "--config", str(cfg)]) == 0
+    assert _manifest_of(cfg)["inputs"]["stopwords"]["path"] == str(bundled / "stopwords.txt")
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
+    with open(bundled / "stopwords.txt", "a", encoding="utf-8") as fh:
+        fh.write("red\n")
+    capsys.readouterr()
+    assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 2
+    assert "input 'stopwords' changed since build" in capsys.readouterr().err
 
 
 def test_build_missing_input_exits_1(tmp_path, capsys):

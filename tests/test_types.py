@@ -57,7 +57,7 @@ def test_replace_builds_the_checked_type():
     assert type(Verdict(False)._replace()) is Verdict
 
 
-@pytest.mark.parametrize("stage_order", [("DBM", "DBM", "VFM"), ("DBM", "CKG"), ()])
+@pytest.mark.parametrize("stage_order", [("DBM", "DBM", "VFM"), ("DBM", "CKG"), (), 5, "DBM"])
 def test_cascade_config_stage_order_is_a_permutation(stage_order):
     with pytest.raises(ValueError):
         CascadeConfig(stage_order=stage_order)
@@ -65,3 +65,14 @@ def test_cascade_config_stage_order_is_a_permutation(stage_order):
         CascadeConfig(stage_order)
     with pytest.raises(ValueError):  # `_replace` builds through `_make`
         CascadeConfig()._replace(stage_order=stage_order)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("vfm_min_count", 0), ("vfm_min_count", 1.0), ("dbm_max_depth", -1), ("dbm_max_depth", True),
+    ("vfm_use_sor", 1),
+])
+def test_cascade_config_rejects_a_value_the_cli_rejects(key, value):
+    with pytest.raises(ValueError, match=repr(key)):
+        CascadeConfig(**{key: value})
+    with pytest.raises(ValueError, match=repr(key)):
+        CascadeConfig()._replace(**{key: value})
