@@ -89,7 +89,9 @@ class CascadeConfig(_CascadeConfig):
         for key, ok, expected in _CONFIG_CHECKS:
             if not ok(getattr(self, key)):
                 raise ValueError(f"{key!r} must be {expected}, not {getattr(self, key)!r}")
-        return self
+        # a list order is kept as a tuple, so the config hashes and equals the tuple-built one
+        return self._replace(stage_order=tuple(self.stage_order)) \
+            if type(self.stage_order) is list else self
 
 
 class StoreSet(NamedTuple):
@@ -254,6 +256,6 @@ def classify_batch(triples, stores: StoreSet, config: CascadeConfig = CascadeCon
             bitmap.append(fires)
             if fires and decided[i][0] is None:
                 decided[i] = component, stage.ask(store.has_property, pivot, attribute, config)
-        store = None  # dropped before the next stage decodes its store
+        store = None  # dropped as its stage ends, the last before the verdicts are built
     results = [(triple, classify(triple, stores, config, d)) for triple, d in zip(triples, decided)]
     return results, bitmaps

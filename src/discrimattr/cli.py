@@ -42,13 +42,11 @@ class RunConfig:
         self.scene_graphs = []
         self.output_dir = "out"
         self.language = "en"
-        for key, value in CascadeConfig._field_defaults.items():  # a tuple is a list in JSON
-            setattr(self, key, list(value) if type(value) is tuple else value)
+        vars(self).update(CascadeConfig._field_defaults)
         self.verbose = False
 
     def cascade_config(self) -> CascadeConfig:
-        values = (getattr(self, key) for key in CascadeConfig._fields)
-        return CascadeConfig._make(tuple(v) if type(v) is list else v for v in values)
+        return CascadeConfig._make(getattr(self, key) for key in CascadeConfig._fields)
 
     def to_dict(self):
         # `verbose` is a per-run switch: not in config files or the manifest
@@ -268,18 +266,17 @@ def _malformed(path, command="build"):
 
 
 class _OneStore:
-    """The stores in `out`, each decoded when first asked for, one at a time."""
+    """The stores in `out`, each decoded anew whenever it is asked for and held
+    only by the caller, so a caller that drops each store before asking for
+    the next holds one at a time."""
 
     def __init__(self, out):
-        self.out, self.name, self.store = out, None, None
+        self.out = out
 
     def __getattr__(self, name):  # called for the store names, which are never set
-        if name != self.name:
-            stage = next(s for s in STAGES.values() if s.store == name)
-            self.store = self.name = None  # dropped, and unnamed, before the next decode
-            with _malformed(self.out / stage.index_file):
-                self.store, self.name = stage.load(load_json(self.out / stage.index_file)), name
-        return self.store
+        stage = next(s for s in STAGES.values() if s.store == name)
+        with _malformed(self.out / stage.index_file):
+            return stage.load(load_json(self.out / stage.index_file))
 
 
 def _load_stores(cfg) -> _OneStore:
@@ -314,17 +311,20 @@ def _write_verdicts(results, out):
 
 
 def cmd_classify(cfg, triple_args=None, triples_file=None) -> int:
+    if triple_args and len(triple_args) != 3:
+        raise ConfigError("a triple needs exactly 3 terms: pivot comparison attribute")
+    if triple_args and triples_file:
+        raise ConfigError("give a triple or --triples-file, not both")
+    if not triple_args and not triples_file:
+        raise ConfigError("provide a triple (pivot comparison attribute) or --triples-file")
     stores = _load_stores(cfg)
     lemma_table = text.load_lemma_table(cfg.lemma_table)
     if triple_args:
         triples = [Triple(*(_term(a, lemma_table) for a in triple_args))]
-    elif triples_file:
+    else:
         from .evaluation import read_triples
         triples = [triple for _, _, triple in read_triples(triples_file, lemma_table)]
-    else:
-        raise ConfigError("provide a triple (pivot comparison attribute) or --triples-file")
     results, _ = classify_batch(triples, stores, cfg.cascade_config())
-    del stores  # frees the store decoded last before the verdicts are written
     _write_verdicts(results, Path(cfg.output_dir))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     for triple, verdict in results:
@@ -383,8 +383,8 @@ def cmd_evaluate(cfg) -> int:
     if cfg.annotations and not annotated:
         print(f"notice: annotation file {cfg.annotations} not found; category tables skipped",
               file=sys.stderr)
+    # the batch drops each store as its stage ends, so the annotations reuse their memory
     results, bitmaps = classify_batch(gold, stores, cfg.cascade_config())
-    del stores  # frees the store decoded last, whose memory the annotations then reuse
     annotations = evaluation.load_annotations(cfg.annotations, terms) if annotated else None
     combined = [verdict.discriminative for _, verdict in results]
     report = evaluation.build_report(bitmaps, combined, gold, annotations)
@@ -471,12 +471,7 @@ def main(argv=None) -> int:
         if args.command == "build":
             return cmd_build(cfg)
         if args.command == "classify":
-            if args.triple and len(args.triple) != 3:
-                raise ConfigError("a triple needs exactly 3 terms: pivot comparison attribute")
-            if args.triple and args.triples_file:
-                raise ConfigError("give a triple or --triples-file, not both")
-            return cmd_classify(cfg, triple_args=args.triple or None,
-                                triples_file=args.triples_file)
+            return cmd_classify(cfg, args.triple, args.triples_file)
         if args.command == "explain":
             return cmd_explain(cfg, args.triple)
         if args.command == "evaluate":

@@ -277,13 +277,11 @@ def _vg_name(node):
 
 def _load_one(path, builder):
     with open_text(path) as fh:
-        head = fh.read(1)
-        while head in (" ", "\t", "\n", "\r"):  # the whitespace `json.load` skips
-            head = fh.read(1)
-        fh.seek(0)
-        if head == "[":
-            _load_visual_genome(_ArrayReader(fh), builder)
+        array = _ArrayReader(fh)
+        if array._peek() == "[":
+            _load_visual_genome(array, builder)
         else:
+            fh.seek(0)
             _load_jsonl(fh, path, builder)
 
 

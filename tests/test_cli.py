@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import discrimattr
-from discrimattr import cli, commonsense, definitions, evaluation, visual
+from discrimattr import cascade, cli, commonsense, definitions, evaluation, visual
 from discrimattr.cli import _write_verdicts, load_config, main
 from discrimattr.errors import ConfigError, DataFormatError
 from discrimattr.evaluation import load_annotations, load_gold, read_triples
@@ -301,6 +301,12 @@ def test_classify_without_build_exits_2(tmp_path, capsys):
 def test_classify_wrong_arity_exits_1(built, capsys):
     cfg, _ = built
     assert main(["classify", "--config", str(cfg), "a", "b"]) == 1
+
+
+def test_classify_of_no_triple_exits_1_before_it_looks_for_a_build(tmp_path, capsys):
+    assert main(["classify", "--output-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: provide a triple (pivot comparison attribute) or --triples-file\n")
 
 
 def test_classify_with_a_triple_and_a_triples_file_exits_1_naming_both(built, tmp_path, capsys):
@@ -697,19 +703,21 @@ def test_evaluate_holds_one_decoded_store_at_a_time(built, monkeypatch, capsys):
     cfg, _ = built
     live = _live_stores_at_each_call(monkeypatch, (definitions, "store_from_dict"),
                                      (commonsense.CkgStore, "from_dict"),
-                                     (visual.VisualStore, "from_dict"),
+                                     (visual.VisualStore, "from_dict"), (cascade, "classify"),
                                      (evaluation, "load_annotations"), (cli, "_write_verdicts"))
     decodes = [("store_from_dict", 0), ("CkgStore.from_dict", 0), ("VisualStore.from_dict", 0)]
-    # three decodes, then the annotations read and the verdicts written with no store left
+    gold = [("classify", 0)] * len((DATA / "gold.csv").read_text(encoding="utf-8").splitlines())
+    # three decodes, then every verdict built, the annotations read and the verdicts
+    # written with no store left
     assert main(["evaluate", "--config", str(cfg)]) == 0
-    assert live == [*decodes, ("load_annotations", 0), ("_write_verdicts", 0)]
+    assert live == [*decodes, *gold, ("load_annotations", 0), ("_write_verdicts", 0)]
     # classify, of a triple or of a file, decodes as evaluate does; explain decodes none
     del live[:]
     assert main(["classify", "--config", str(cfg), "apple", "banana", "red"]) == 0
     assert main(["classify", "--config", str(cfg), "--triples-file", str(DATA / "gold.csv")]) == 0
-    assert live == [*decodes, ("_write_verdicts", 0)] * 2
     assert main(["explain", "--config", str(cfg), "apple", "banana", "red"]) == 0
-    assert len(live) == 8
+    assert live == [*decodes, ("classify", 0), ("_write_verdicts", 0),
+                    *decodes, *gold, ("_write_verdicts", 0)]
 
 
 def test_one_store_after_a_failed_decode_decodes_the_next_store_asked_for(built):

@@ -67,6 +67,14 @@ def test_cascade_config_stage_order_is_a_permutation(stage_order):
         CascadeConfig()._replace(stage_order=stage_order)
 
 
+@pytest.mark.parametrize("config", [CascadeConfig(stage_order=["DBM", "CKG", "VFM"]),
+                                    CascadeConfig()._replace(stage_order=["DBM", "CKG", "VFM"])],
+                         ids=["built", "replaced"])
+def test_cascade_config_keeps_a_list_stage_order_as_a_tuple(config):
+    assert config.stage_order == ("DBM", "CKG", "VFM")
+    assert config == CascadeConfig() and hash(config) == hash(CascadeConfig())
+
+
 @pytest.mark.parametrize("key,value", [
     ("vfm_min_count", 0), ("vfm_min_count", 1.0), ("dbm_max_depth", -1), ("dbm_max_depth", True),
     ("vfm_use_sor", 1),
