@@ -1,23 +1,27 @@
 """Discriminative attribute identification over explicit sparse vector
 spaces built from definitions, scene graphs, and commonsense assertions."""
 
-from .cascade import (CascadeConfig, Explanation, StoreSet, Verdict, classify,
-                      classify_batch, render_explanation)
-from .commonsense import CkgStore, load_assertions
-from .definitions import DefinitionStore, load_definitions
-from .errors import ConfigError, DataFormatError, DiscrimAttrError, EvidenceError
-from .index import ExplicitVectorSpace
-from .text import normalize
-from .types import MembershipResult, Term, Triple
-from .visual import VisualStore, load_scene_graphs
+from importlib import import_module
 
-__all__ = [
-    "CascadeConfig", "Explanation", "StoreSet", "Verdict", "classify",
-    "classify_batch", "render_explanation", "CkgStore",
-    "load_assertions", "DefinitionStore", "load_definitions", "ConfigError",
-    "DataFormatError", "DiscrimAttrError", "EvidenceError", "ExplicitVectorSpace",
-    "normalize", "MembershipResult", "Term", "Triple", "VisualStore",
-    "load_scene_graphs",
-]
+# each public name and its module, imported when the name is first asked for
+_HOMES = {name: module for module, names in (
+    ("cascade", "CascadeConfig Explanation StoreSet Verdict classify classify_batch "
+                "render_explanation"),
+    ("commonsense", "CkgStore load_assertions"),
+    ("definitions", "DefinitionStore load_definitions"),
+    ("errors", "ConfigError DataFormatError DiscrimAttrError EvidenceError"),
+    ("index", "ExplicitVectorSpace"),
+    ("text", "normalize"),
+    ("types", "MembershipResult Term Triple"),
+    ("visual", "VisualStore load_scene_graphs"),
+) for name in names.split()}
+
+__all__ = list(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOMES[name]}", __name__), name)

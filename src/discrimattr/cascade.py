@@ -8,14 +8,12 @@ which component explains it.
 """
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Callable, NamedTuple
 
-from . import commonsense, definitions, visual
-from .commonsense import CkgStore, EdgeEvidence
-from .definitions import DEFAULT_MAX_DEPTH, DefinitionEvidence, DefinitionStore
 from .errors import EvidenceError
-from .types import COMPONENTS, Triple
-from .visual import RegionEvidence, VisualStore
+from .types import (COMPONENTS, DEFAULT_MAX_DEPTH, DefinitionEvidence, EdgeEvidence,
+                    RegionEvidence, Triple)
 
 
 class Explanation(NamedTuple):
@@ -94,7 +92,7 @@ class CascadeConfig(_CascadeConfig):
             if type(self.stage_order) is list else self
 
 
-class StoreSet(NamedTuple):
+class StoreSet(NamedTuple):  # each annotation is a store module's class, not imported here
     definitions: DefinitionStore
     commonsense: CkgStore
     visual: VisualStore
@@ -108,17 +106,22 @@ class Stage(NamedTuple):
     kind: str  # "intensional" or "extensional"
     template_id: str
     template: str
-    store: str  # the `StoreSet` field, the index file's stem and the manifest's count key
+    store: str  # the `StoreSet` field and module name, the index file's stem, the manifest's count key
     ask: Callable  # (store method, term, attribute, config) -> method(term, attribute, options)
     evidence_type: type  # decodes stored evidence with `from_dict`
     slots: Callable  # evidence tuple -> the template's evidence slots
-    ingest: Callable  # (run config, lemma table, stopwords) -> store, empty when unconfigured
-    load: Callable  # decoded index -> store
+    ingest: Callable  # (module, run config, lemma table, stopwords) -> store, empty when unconfigured
+    load: Callable  # (module, decoded index) -> store
     count: Callable  # store -> (documents, skipped records)
 
     @property
     def index_file(self):
         return f"{self.store}.index.json"
+
+    @property
+    def module(self):
+        """The store's module, which `ingest` and `load` take: imported when first asked for."""
+        return import_module(f"{__package__}.{self.store}")
 
 
 def _dbm_slots(evidence):
@@ -154,10 +157,10 @@ STAGES = {s.name: s for s in (
         "definitions",
         lambda method, term, attribute, config: method(term, attribute, config.dbm_max_depth),
         DefinitionEvidence, _dbm_slots,
-        ingest=lambda cfg, lemma_table, stopwords: (
+        ingest=lambda definitions, cfg, lemma_table, stopwords: (
             definitions.load_definitions(cfg.definitions, lemma_table, stopwords) if cfg.definitions
             else definitions._build_store([], lemma_table, stopwords)),
-        load=lambda data: definitions.store_from_dict(data),
+        load=lambda definitions, data: definitions.store_from_dict(data),
         count=lambda store: (store.space.document_count, 0),
     ),
     Stage(
@@ -167,10 +170,10 @@ STAGES = {s.name: s for s in (
         "while no edge links '{comparison}' and '{attribute}'.",
         "commonsense", lambda method, term, attribute, config: method(term, attribute),
         EdgeEvidence, _ckg_slots,
-        ingest=lambda cfg, lemma_table, _: (
+        ingest=lambda commonsense, cfg, lemma_table, _: (
             commonsense.load_assertions(cfg.assertions, lemma_table, cfg.language)
-            if cfg.assertions else CkgStore.build([])),
-        load=lambda data: CkgStore.from_dict(data),
+            if cfg.assertions else commonsense.CkgStore.build([])),
+        load=lambda commonsense, data: commonsense.CkgStore.from_dict(data),
         count=lambda store: (sum(pairs.count("\t") + 1 for ends in store.edges.values()
                                  for pairs in ends.values()) // 2, store.skipped),  # 2 fields each
     ),
@@ -183,9 +186,9 @@ STAGES = {s.name: s for s in (
         lambda method, term, attribute, config: method(
             term, attribute, config.vfm_min_count, config.vfm_use_sor),
         RegionEvidence, _vfm_slots,
-        ingest=lambda cfg, lemma_table, stopwords: visual.load_scene_graphs(
+        ingest=lambda visual, cfg, lemma_table, stopwords: visual.load_scene_graphs(
             cfg.scene_graphs, lemma_table, stopwords),
-        load=lambda data: VisualStore.from_dict(data),
+        load=lambda visual, data: visual.VisualStore.from_dict(data),
         count=lambda store: (sum(map(len, store.oa_index.values())), store.skipped),
     ),
 )}

@@ -174,7 +174,7 @@ def _unchanged(path, digest, stat):
 
 def _stage(stage, cfg, lemma_table, stopwords, staged):
     """Ingests `stage`'s store, writes its index into `staged`; only its counts outlive the call."""
-    store = stage.ingest(cfg, lemma_table, stopwords)
+    store = stage.ingest(stage.module, cfg, lemma_table, stopwords)
     dump_json(store.to_dict(), Path(staged, stage.index_file))
     return stage.count(store)
 
@@ -273,10 +273,12 @@ class _OneStore:
     def __init__(self, out):
         self.out = out
 
-    def __getattr__(self, name):  # called for the store names, which are never set
-        stage = next(s for s in STAGES.values() if s.store == name)
+    def __getattr__(self, name):  # called for the names never set, the store names among them
+        stage = next((s for s in STAGES.values() if s.store == name), None)
+        if stage is None:
+            raise AttributeError(f"no store {name!r}")
         with _malformed(self.out / stage.index_file):
-            return stage.load(load_json(self.out / stage.index_file))
+            return stage.load(stage.module, load_json(self.out / stage.index_file))
 
 
 def _load_stores(cfg) -> _OneStore:
@@ -350,8 +352,14 @@ def cmd_explain(cfg, triple_args) -> int:
 
 def _stored_explanation(path, triple):
     """The explanation re-rendered from the triple's verdict in `verdicts.jsonl`."""
+    # a line that starts as the writer starts another triple's is skipped undecoded: the
+    # writer's sorted keys begin with these two, encoded as it encodes them
+    own = _VERDICT_JSON.encode({"attribute": triple.attribute.lemma,
+                                "comparison": triple.comparison.lemma})[:-1] + ", "
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
+            if line.startswith('{"attribute": ') and not line.startswith(own):
+                continue
             try:
                 rec = json.loads(line)
                 if (rec["pivot"], rec["comparison"], rec["attribute"]) != triple.key():

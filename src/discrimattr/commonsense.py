@@ -9,34 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple
 
 from .errors import open_text
 from .index import layout
 from .text import Lemmas
-from .types import MembershipResult, Term
-
-
-class EdgeEvidence(NamedTuple):
-    """An assertion linking the queried lemmas; "forward" when the term is
-    its start, "reverse" when the term is its end. Evidence sorts in
-    assertion order."""
-
-    relation: str
-    start: str
-    end: str
-    weight: float
-    direction: str
-
-    def to_dict(self):
-        return {"assertion": {"relation": self.relation, "start": self.start, "end": self.end,
-                              "weight": self.weight},
-                "direction": self.direction}
-
-    @classmethod
-    def from_dict(cls, d):
-        a = d["assertion"]
-        return cls(a["relation"], a["start"], a["end"], a["weight"], d["direction"])
+from .types import EdgeEvidence, MembershipResult, Term
 
 
 class CkgStore:
@@ -154,7 +131,7 @@ def _parse_line(parts, language_filter):
         start, end = start[1], end[1]
         try:
             weight = float(json.loads(parts[4]).get("weight", 1.0)) if len(parts) >= 5 else 1.0
-        except (json.JSONDecodeError, TypeError, ValueError, AttributeError):
+        except (json.JSONDecodeError, TypeError, ValueError, AttributeError, OverflowError):
             return None
     elif len(parts) in (3, 4):
         # simplified fixture row: relation, start, end[, weight]

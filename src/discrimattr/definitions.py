@@ -9,12 +9,11 @@ reloaded from its index keeps the build-time vocabulary.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
 from .errors import DataFormatError, open_text
 from .index import ExplicitVectorSpace, layout
 from .text import lemma_of, normalize
-from .types import MembershipResult, Term
+from .types import DEFAULT_MAX_DEPTH, DefinitionEvidence, MembershipResult, Term
 
 SEMANTIC_ROLES = (
     "supertype",
@@ -25,33 +24,6 @@ SEMANTIC_ROLES = (
     "accessory_determiner",
     "origin_location",
 )
-
-DEFAULT_MAX_DEPTH = 3
-
-
-class DefinitionEvidence(NamedTuple):
-    """A segment that contains the queried attribute, with the supertype
-    path from the queried term down to the defining term."""
-
-    term: str
-    sense_id: str
-    role: str
-    text: str
-    path: tuple[str, ...]
-
-    def to_dict(self):
-        return {
-            "term": self.term,
-            "sense": self.sense_id,
-            "role": self.role,
-            "text": self.text,
-            "path": list(self.path),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(term=d["term"], sense_id=d["sense"], role=d["role"], text=d["text"],
-                   path=tuple(d["path"]))
 
 
 class DefinitionStore:

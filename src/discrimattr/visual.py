@@ -14,36 +14,11 @@ from __future__ import annotations
 import json
 import re
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import DataFormatError, open_text
 from .index import layout
 from .text import Lemmas, normalize
-from .types import MembershipResult, Term
-
-_VIA_KEYS = ("image", "subject", "predicate", "object")
-
-
-class RegionEvidence(NamedTuple):
-    """Grounding for a positive OA answer: the co-occurrence regions, plus
-    the mediating relationship when the attribute was inherited, as the
-    store holds it."""
-
-    object: str
-    attribute: str
-    regions: list  # of [image_id, region_id]
-    via: list | None = None  # [image_id, subject, predicate, object]
-
-    def to_dict(self):
-        d = {"object": self.object, "attribute": self.attribute, "regions": self.regions}
-        if self.via is not None:
-            d["via"] = dict(zip(_VIA_KEYS, self.via))
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        via = [d["via"][k] for k in _VIA_KEYS] if "via" in d else None
-        return cls(d["object"], d["attribute"], d["regions"], via)
+from .types import MembershipResult, RegionEvidence, Term
 
 
 class VisualStore:

@@ -93,6 +93,20 @@ def test_build_counts_each_assertion_of_a_pair(tmp_path, capsys):
     assert manifest["document_counts"]["commonsense"] == 6
 
 
+@pytest.mark.parametrize("row", [
+    '/a/x\t/r/HasProperty\t/c/en/cat\t/c/en/soft\t{"weight": ' + "9" * 400 + "}",
+    "HasProperty\tcat\tsoft\t" + "9" * 400], ids=["conceptnet", "fixture"])
+def test_build_skips_a_weight_too_large_for_a_float(tmp_path, capsys, row):
+    # the dump's own malformed line is one skip, the row a second
+    dump = tmp_path / "assertions_conceptnet.tsv"
+    dump.write_text((DATA / "assertions_conceptnet.tsv").read_text(encoding="utf-8") + row + "\n",
+                    encoding="utf-8")
+    cfg = write_config(tmp_path, assertions=str(dump), scene_graphs=[])
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg)]) == 0
+    assert "warning: skipped 2 malformed records\n" in capsys.readouterr().err
+
+
 def test_build_writes_stores_and_manifest(built, capsys):
     _, out = built
     for f in ("definitions.index.json", "commonsense.index.json",
@@ -730,6 +744,10 @@ def test_one_store_after_a_failed_decode_decodes_the_next_store_asked_for(built)
     assert isinstance(stores.definitions, definitions.DefinitionStore)
 
 
+def test_one_store_has_no_attribute_that_is_not_a_store(tmp_path):
+    assert not hasattr(cli._OneStore(tmp_path), "foo")
+
+
 def test_build_holds_one_ingested_store_at_a_time(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     live = _live_stores_at_each_call(monkeypatch, (definitions, "load_definitions"),
@@ -860,6 +878,48 @@ def test_explain_malformed_stored_verdict_exits_2(built, tmp_path, capsys, corru
     capsys.readouterr()
     assert main(["explain", "--config", str(cfg), "brandy", "whiskey", "wine"]) == 2
     assert "verdicts.jsonl:2:" in capsys.readouterr().err
+
+
+def test_explain_finds_a_lemma_the_writer_escapes(tmp_path, capsys):
+    # the scan matches a line by its attribute and comparison as the writer encodes them
+    table = tmp_path / "lemmas.tsv"
+    table.write_text((DATA / "lemmas.tsv").read_text(encoding="utf-8")
+                     + 'whiskey\twhis"kéy\nwine\tw\\ïne\n', encoding="utf-8")
+    cfg = write_config(tmp_path, lemma_table=str(table))
+    triples = tmp_path / "triples.csv"
+    triples.write_text("apple,banana,red\ncognac,whiskey,french\nbrandy,whiskey,wine\n",
+                       encoding="utf-8")
+    assert main(["build", "--config", str(cfg)]) == 0
+    assert main(["classify", "--config", str(cfg), "--triples-file", str(triples)]) == 0
+    stored = json.loads((tmp_path / "out" / "verdicts.jsonl").read_text(
+        encoding="utf-8").splitlines()[2])
+    assert (stored["comparison"], stored["attribute"], stored["label"]) == ('whis"kéy', "w\\ïne", 1)
+    capsys.readouterr()
+    assert main(["explain", "--config", str(cfg), "brandy", "whiskey", "wine"]) == 0
+    assert capsys.readouterr().out == stored["explanation"]["rendered_text"] + "\n"
+
+
+@pytest.mark.parametrize("broken,code", [(lambda line: "{not json", 2),
+                                         (lambda line: line[:line.index('"deciding')] + "{", 0)],
+                         ids=["before-the-prefix", "after-the-prefix"])
+def test_explain_decodes_another_triples_line_only_without_the_writers_prefix(
+        built, tmp_path, capsys, broken, code):
+    # another triple's line in the writer's form is skipped unread, so a fault past its
+    # attribute and comparison does not fail the scan
+    cfg, out = built
+    tf = tmp_path / "triples.csv"
+    tf.write_text("apple,banana,red\nbrandy,whiskey,wine\n", encoding="utf-8")
+    main(["classify", "--config", str(cfg), "--triples-file", str(tf)])
+    lines = (out / "verdicts.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[0] = broken(lines[0])
+    (out / "verdicts.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["explain", "--config", str(cfg), "brandy", "whiskey", "wine"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "verdicts.jsonl:1:" in captured.err
+    else:
+        assert "definition of brandy" in captured.out
 
 
 def test_explain_negative_verdict(built, capsys):
@@ -1253,12 +1313,27 @@ def fresh_python(code, *args):
                           encoding="utf-8", check=True).stdout
 
 
-def test_cli_import_skips_what_only_some_commands_use():
+STORE_MODULES = {"discrimattr.definitions", "discrimattr.commonsense", "discrimattr.visual"}
+
+
+def test_cli_import_skips_what_only_some_commands_use(built):
     # no timing gate: only which modules `import discrimattr.cli` adds
     added = fresh_python("import sys; before = set(sys.modules); import discrimattr.cli; "
                          "print(*sorted(set(sys.modules) - before))").split()
     assert "discrimattr.cli" in added
-    assert not {"dataclasses", "inspect", "hashlib", "discrimattr.evaluation"} & set(added)
+    assert not {"dataclasses", "inspect", "hashlib", "discrimattr.evaluation",
+                *STORE_MODULES} & set(added)
+    # a store module loads at its stage's first ingest or load: classify asks every
+    # stage, explain re-renders a stored verdict without any
+    cfg, _ = built
+    run = ("import sys; from discrimattr.cli import main; code = main(sys.argv[1:]); "
+           "print(code, *sorted(m for m in sys.modules if m.startswith('discrimattr.')))")
+    triple = ["brandy", "whiskey", "wine"]
+    for command, stores in (("classify", STORE_MODULES), ("explain", set())):
+        stdout = fresh_python(run, command, "--config", str(cfg), *triple)
+        code, *loaded = stdout.splitlines()[-1].split()
+        assert code == "0"
+        assert STORE_MODULES & set(loaded) == stores
 
 
 def test_evaluate_on_an_unchanged_build_does_not_import_hashlib(built):

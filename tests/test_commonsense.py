@@ -93,8 +93,9 @@ def _conceptnet_row(meta):
     "HasProperty\tcat\tsoft\tnan", "HasProperty\tcat\tsoft\tinf", "HasProperty\tcat\tsoft\t-inf",
     _conceptnet_row('{"weight": NaN}'), _conceptnet_row('{"weight": Infinity}'),
     _conceptnet_row('{"weight": -Infinity}'), _conceptnet_row("[1]"),
+    "HasProperty\tcat\tsoft\t" + "9" * 400, _conceptnet_row('{"weight": ' + "9" * 400 + "}"),
 ], ids=["nan", "inf", "-inf", "conceptnet-nan", "conceptnet-inf", "conceptnet--inf",
-        "conceptnet-meta-not-an-object"])
+        "conceptnet-meta-not-an-object", "too-large", "conceptnet-too-large"])
 def test_line_without_finite_weight_is_skipped(tmp_path, lemma_table, line):
     path = tmp_path / "assertions.tsv"
     path.write_text(f"{line}\n{line}\nHasProperty\tcat\tfur\t1.0\n", encoding="utf-8")

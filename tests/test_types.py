@@ -1,5 +1,9 @@
+import importlib
+
 import pytest
 
+import discrimattr
+from discrimattr import types
 from discrimattr.cascade import STAGES, CascadeConfig, Explanation, StoreSet, Verdict
 from discrimattr.commonsense import EdgeEvidence
 from discrimattr.definitions import DefinitionEvidence
@@ -84,3 +88,33 @@ def test_cascade_config_rejects_a_value_the_cli_rejects(key, value):
         CascadeConfig(**{key: value})
     with pytest.raises(ValueError, match=repr(key)):
         CascadeConfig()._replace(**{key: value})
+
+
+PUBLIC = {"CascadeConfig", "Explanation", "StoreSet", "Verdict", "classify", "classify_batch",
+          "render_explanation", "CkgStore", "load_assertions", "DefinitionStore",
+          "load_definitions", "ConfigError", "DataFormatError", "DiscrimAttrError",
+          "EvidenceError", "ExplicitVectorSpace", "normalize", "MembershipResult", "Term",
+          "Triple", "VisualStore", "load_scene_graphs"}
+
+
+def test_each_public_name_is_its_modules_object():
+    # the package imports a name's module when the name is first asked for
+    assert sorted(discrimattr.__all__) == sorted(PUBLIC)
+    for name in discrimattr.__all__:
+        value = getattr(discrimattr, name)
+        assert value.__module__.startswith("discrimattr.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+
+
+def test_an_unknown_package_name_raises_attribute_error():
+    assert not hasattr(discrimattr, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        discrimattr.no_such_name
+
+
+@pytest.mark.parametrize("module,name", [("definitions", "DefinitionEvidence"),
+                                         ("definitions", "DEFAULT_MAX_DEPTH"),
+                                         ("commonsense", "EdgeEvidence"),
+                                         ("visual", "RegionEvidence")])
+def test_a_store_module_holds_its_evidence_type_from_types(module, name):
+    assert getattr(importlib.import_module(f"discrimattr.{module}"), name) is getattr(types, name)
