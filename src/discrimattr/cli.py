@@ -179,6 +179,72 @@ def _stage(stage, cfg, lemma_table, stopwords, staged):
     return stage.count(store)
 
 
+def _spawn(run, *args):
+    """Starts `run(*args)` in a forked child, or runs it here where the OS cannot fork.
+    Returns its join, which reaps the child and gives what it sent, the pickled
+    `(True, result)` or `(False, exception, traceback)` or else b"", and its wait status."""
+    import pickle  # here, so that a child finds it imported
+    if not hasattr(os, "fork"):
+        sent = pickle.dumps((True, run(*args)))
+        return lambda: (sent, 0)
+    sys.stdout.flush()  # else the child's copy of a buffered line could be written too
+    sys.stderr.flush()
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        _send(w, run, *args)
+    os.close(w)
+
+    def join():
+        with open(r, "rb") as fh:
+            try:
+                sent = fh.read()
+            finally:
+                _, status = os.waitpid(pid, 0)
+        return sent, status
+    return join
+
+
+def _send(w, run, *args):
+    """In a forked child: runs `run(*args)` and writes its pickled outcome to the pipe
+    end `w`. Never returns: it leaves through `os._exit`, so none of the parent's
+    cleanup, such as the staging directory's, runs here, and none of its stdio flushes."""
+    status = 1
+    try:
+        import pickle
+        try:
+            sent = True, run(*args)
+        except Exception as e:
+            import traceback  # a pickled exception loses its frames: they go as text
+            sent = False, e, "".join(traceback.format_exception(e)).rstrip()
+        with open(w, "wb") as fh:
+            fh.write(pickle.dumps(sent))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _result(stage, sent, status):
+    """What `stage`'s run returned, as `_spawn`'s join gave it; raises what the run
+    raised, caused by its traceback in the child, or, if it sent nothing, that it
+    ended without a result."""
+    import pickle
+    if not sent:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise DiscrimAttrError(f"the {stage.store} ingest ended without a result ({how}); "
+                               "the previous build is kept")
+    ok, value, *frames = pickle.loads(sent)
+    if not ok:
+        raise value from Exception(f"in the {stage.store} ingest's process:\n{frames[0]}")
+    return value
+
+
 def cmd_build(cfg) -> int:
     # the bundled stopwords are an input of the build, but not of a query that leaves them unset
     cfg.stopwords = cfg.stopwords or str(_BUNDLED / "stopwords.txt")
@@ -196,9 +262,15 @@ def cmd_build(cfg) -> int:
             raise DataFormatError(f"cannot read: {e.strerror}", path=e.filename)
         lemma_table = text.load_lemma_table(cfg.lemma_table)
         stopwords = text.load_stopwords(cfg.stopwords)
-        counts, skips = zip(*(_stage(stage, cfg, lemma_table, stopwords, staged)
-                              for stage in STAGES.values()))
-        gc.collect()  # empties the free lists, so the ingests' memory goes back before `hashlib`
+        # one process per store, each sharing the tables above with the parent
+        joins = []
+        try:
+            for stage in STAGES.values():
+                joins.append(_spawn(_stage, stage, cfg, lemma_table, stopwords, staged))
+        finally:  # every child reaped before anything is raised or the staging goes
+            ended = [join() for join in joins]
+        # the first failing stage's error, as when the stages ran one after another
+        counts, skips = zip(*(_result(stage, *end) for stage, end in zip(STAGES.values(), ended)))
         manifest = _manifest(cfg, start, before)
         # no manifest until the new one: a build that fails between two renames leaves none
         (out / "manifest.json").unlink(missing_ok=True)

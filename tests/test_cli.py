@@ -4,8 +4,10 @@ import gc
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import textwrap
 import time
 import weakref
 from pathlib import Path
@@ -748,13 +750,61 @@ def test_one_store_has_no_attribute_that_is_not_a_store(tmp_path):
     assert not hasattr(cli._OneStore(tmp_path), "foo")
 
 
-def test_build_holds_one_ingested_store_at_a_time(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path)
-    live = _live_stores_at_each_call(monkeypatch, (definitions, "load_definitions"),
-                                     (commonsense, "load_assertions"),
-                                     (visual, "load_scene_graphs"))
-    assert main(["build", "--config", str(cfg)]) == 0
-    assert live == [("load_definitions", 0), ("load_assertions", 0), ("load_scene_graphs", 0)]
+FORKS = pytest.mark.skipif(not hasattr(os, "fork"), reason="the OS cannot fork")
+
+
+@FORKS
+def test_build_ingests_each_store_in_a_child_that_it_reaps(tmp_path):
+    # in a fresh interpreter, as this one has imported every store module
+    cfg, pids = write_config(tmp_path), tmp_path / "pids"
+    stdout = fresh_python(textwrap.dedent("""\
+        import os, sys
+        from discrimattr.cascade import STAGES
+        from discrimattr.cli import main
+        def logged(ingest):
+            def run(*args):
+                with open(sys.argv[1], "a", encoding="utf-8") as fh:
+                    print(os.getpid(), file=fh)
+                return ingest(*args)
+            return run
+        for name, stage in STAGES.items():
+            STAGES[name] = stage._replace(ingest=logged(stage.ingest))
+        code = main(["build", "--config", sys.argv[2]])
+        try:
+            left = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            left = None
+        print(code, os.getpid(), left, *(m for m in sys.modules if m.startswith("discrimattr.")))
+        """), str(pids), str(cfg))
+    code, caller, left, *loaded = stdout.splitlines()[-1].split()
+    assert (code, left) == ("0", "None")
+    assert not STORE_MODULES & set(loaded)
+    ingests = pids.read_text(encoding="utf-8").split()
+    assert len(set(ingests)) == len(ingests) == len(cascade.STAGES)
+    assert caller not in ingests
+
+
+def _no_child_is_left(out):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(out.glob(".build-*"))
+
+
+def _build(cfg, capsys):
+    """`build`'s exit code, stdout and stderr."""
+    capsys.readouterr()
+    return main(["build", "--config", str(cfg)]), *capsys.readouterr()
+
+
+def test_build_without_fork_writes_what_a_forked_build_writes(tmp_path, capsys, monkeypatch):
+    settle(tmp_path, *DATA.iterdir())
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    forked = _build(cfg, capsys), {p.name: p.read_bytes() for p in out.iterdir()}
+    _no_child_is_left(out)
+    monkeypatch.delattr(os, "fork")
+    assert (_build(cfg, capsys), {p.name: p.read_bytes() for p in out.iterdir()}) == forked
+    assert forked[0][0] == 0
+    assert len(forked[1]) == len(cascade.STAGES) + 1
 
 
 def _broken_scene_graph(tmp_path):
@@ -777,14 +827,57 @@ def _broken_definition(tmp_path):
     return {"definitions": str(defs)}
 
 
-@pytest.mark.parametrize("broken", [_broken_scene_graph, _broken_definition],
-                         ids=["scene-graph", "definition"])
-def test_failed_build_leaves_the_previous_build_as_it_was(built, tmp_path, capsys, broken):
+def _broken_definition_and_scene_graph(tmp_path):
+    return {**_broken_scene_graph(tmp_path), **_broken_definition(tmp_path)}
+
+
+@pytest.mark.parametrize("broken,failing", [
+    (_broken_scene_graph, "objects.json:"), (_broken_definition, "defs.jsonl:"),
+    (_broken_definition_and_scene_graph, "defs.jsonl:")], ids=["scene-graph", "definition", "both"])
+def test_failed_build_leaves_the_previous_build_as_it_was(built, tmp_path, capsys, monkeypatch,
+                                                         broken, failing):
     cfg, out = built
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert main(["build", "--config", str(write_config(tmp_path, "broken.json",
-                                                       **broken(tmp_path)))]) == 2
+    # the definitions' stage, first in `STAGES`, ends last: a later stage fails before it
+    dbm = cascade.STAGES["DBM"]
+    monkeypatch.setitem(cascade.STAGES, "DBM", dbm._replace(
+        ingest=lambda *args: time.sleep(0.2) or dbm.ingest(*args)))
+    config = write_config(tmp_path, "broken.json", **broken(tmp_path))
+    failed = _build(config, capsys)
+    assert failed[0] == 2
+    assert failed[2].startswith(f"data error: {tmp_path / failing}")  # the first in `STAGES`
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # nothing staged is left
+    _no_child_is_left(out)
+    monkeypatch.delattr(os, "fork")  # the stages one after another, in this process
+    assert _build(config, capsys) == failed
+
+
+@FORKS
+def test_build_whose_child_is_killed_exits_2_naming_its_store(built, tmp_path, capsys,
+                                                             monkeypatch):
+    cfg, out = built
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    monkeypatch.setitem(cascade.STAGES, "CKG", cascade.STAGES["CKG"]._replace(
+        ingest=lambda *args: os.kill(os.getpid(), signal.SIGKILL)))
+    assert _build(cfg, capsys) == (2, "", "error: the commonsense ingest ended without a "
+                                   f"result (killed by signal {int(signal.SIGKILL)}); "
+                                   "the previous build is kept\n")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    _no_child_is_left(out)
+
+
+@FORKS
+def test_unexpected_error_in_a_child_keeps_its_traceback(built, monkeypatch):
+    cfg, out = built
+
+    def broken_ingest(*args):
+        raise RuntimeError("a bug")
+    monkeypatch.setitem(cascade.STAGES, "VFM",
+                        cascade.STAGES["VFM"]._replace(ingest=broken_ingest))
+    with pytest.raises(RuntimeError, match="a bug") as raised:
+        main(["build", "--config", str(cfg)])
+    assert "in broken_ingest" in str(raised.value.__cause__)  # the frame it was raised in
+    _no_child_is_left(out)
 
 
 def test_build_that_fails_between_two_renames_leaves_no_manifest(built, tmp_path, capsys):
