@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from .errors import EmptyCorpusError
 
-FORMAT_VERSION = 9  # of the index files; `build` records it in the manifest
+FORMAT_VERSION = 10  # of the index files; `build` records it in the manifest
 
 
 class ExplicitVectorSpace:

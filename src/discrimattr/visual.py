@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from functools import cached_property
 
 from .errors import DataFormatError, open_text
 from .index import layout
@@ -23,54 +22,54 @@ from .types import MembershipResult, RegionEvidence, Term
 
 class VisualStore:
     """Immutable after load; concurrent readers are safe. Built, persisted
-    and queried in one form:
+    and queried in one form, so a query derives nothing:
 
     - `oa_index`: object -> {attribute -> "image<TAB>region image<TAB>region ..."},
-      the pair's sorted, unique [image, region] pairs in one string: a tab
-      joins a region's two ids, a space joins the regions. Ingest skips a
-      region whose image or region id holds a tab or a space, so a pair's
-      regions are counted by its tabs, and one image's regions are found by
-      searching the string for that image;
-    - `relationships`: sorted [image, subject, predicate, object]s,
-      duplicates kept.
+      the pair's sorted, unique [image, region] pairs, so its regions are
+      counted by its tabs, and one image's are found by a search for it;
+    - `relations`: subject -> {object -> "image<TAB>predicate image<TAB>predicate ..."},
+      each relationship once, sorted by (image, predicate) as tuples, none
+      of an object to itself (it never grounds);
+    - `subjects_of`: object -> "subject subject ...", sorted.
 
-    Only `sor_index` is derived, at the first SOR query. `_grounding` finds
+    Ingest skips an image or region id that holds a tab or a space, and no
+    lemma holds one, so every string splits back exactly. `_grounding` finds
     the regions behind an answer, which `holds` tests; `has_property` splits
     only the string of the regions it returns."""
 
-    def __init__(self, oa_index, relationships, skipped=0):
+    def __init__(self, oa_index, relations, subjects_of, skipped=0):
         self.oa_index = oa_index
-        self.relationships = relationships
+        self.relations = relations
+        self.subjects_of = subjects_of
         self.skipped = skipped
-
-    @cached_property
-    def sor_index(self):
-        """endpoint lemma -> its relationships, in list order; a self-relationship once"""
-        index = {}
-        for rel in self.relationships:
-            index.setdefault(rel[1], []).append(rel)
-            if rel[3] != rel[1]:
-                index.setdefault(rel[3], []).append(rel)
-        return index
 
     def _regions(self, object_lemma, attribute_lemma):
         return self.oa_index.get(object_lemma, {}).get(attribute_lemma, "")
 
     def _grounding(self, obj, attribute, min_count, use_sor):
-        """(object, its regions, via) of obj's own regions, else, with use_sor, of
-        the first relationship whose other end has min_count regions in its image;
-        else None. The regions are a pair string of the store's form, or a slice of one."""
+        """(object, its regions, via) of obj's own regions, else, with use_sor, of the
+        smallest [image, subject, predicate, object] relationship of obj whose other end
+        has min_count regions in its image; else None. The regions are a pair string
+        of the store's form, or a slice of one."""
         direct = self._regions(obj, attribute)
         if direct.count("\t") >= min_count:
             return obj, direct, None
-        if use_sor:
-            for rel in self.sor_index.get(obj, ()):
-                for other in (rel[1], rel[3]):
-                    if other != obj and (regions := self._regions(other, attribute)):
-                        run = _run(regions, rel[0])
+        best = None
+        if use_sor:  # each group relates obj to one other object, in one direction
+            groups = [(other, obj, other) for other in self.relations.get(obj, ())]
+            groups += [(other, other, obj) for other in self.subjects_of.get(obj, "").split()]
+            for other, subject, object_ in groups:
+                if regions := self._regions(other, attribute):
+                    for entry in self.relations[subject][object_].split(" "):
+                        image, predicate = entry.split("\t")
+                        via = [image, subject, predicate, object_]
+                        if best and via >= best[2]:
+                            break  # the group's later entries are larger still
+                        run = _run(regions, image)
                         if run.count("\t") >= min_count:
-                            return other, run, rel
-        return None
+                            best = other, run, via
+                            break
+        return best
 
     def holds(self, obj: Term, attribute: Term, min_count: int = 1, use_sor: bool = False) -> bool:
         """`has_property(...).member`, without the evidence."""
@@ -81,18 +80,18 @@ class VisualStore:
         """True iff the pair co-occurs in >= min_count regions, or (with
         use_sor) a related object in the same image does."""
         if found := self._grounding(obj.lemma, attribute.lemma, min_count, use_sor):
-            other, regions, via = found
-            return MembershipResult(member=True, evidence=(
-                RegionEvidence(other, attribute.lemma, _pairs(regions), via),))
+            other, regions, via = found  # regions as [[image, region], ...]
+            return MembershipResult(member=True, evidence=(RegionEvidence(
+                other, attribute.lemma, [pair.split("\t") for pair in regions.split(" ")], via),))
         return MembershipResult(member=False)
 
     def to_dict(self):
-        return {"oa_index": self.oa_index, "relationships": self.relationships,
-                "skipped": self.skipped}
+        return {"oa_index": self.oa_index, "relations": self.relations,
+                "subjects_of": self.subjects_of, "skipped": self.skipped}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(*layout(data, oa_index=dict, relationships=list, skipped=int))
+        return cls(*layout(data, oa_index=dict, relations=dict, subjects_of=dict, skipped=int))
 
 
 def _run(regions, image):
@@ -107,26 +106,22 @@ def _run(regions, image):
     return regions[start:end] if end >= 0 else regions[start:]
 
 
-def _pairs(regions):
-    """A pair string as [[image, region], ...]"""
-    return [pair.split("\t") for pair in regions.split(" ")]
-
-
-def _is_region_id(value):
-    """An id the store can hold: an int, or a str with no tab or space."""
-    return type(value) is int or type(value) is str and "\t" not in value and " " not in value
+def _id(value):
+    """An int, or a str with no tab or space, as the store holds it; None for any other id."""
+    if type(value) is int or type(value) is str and "\t" not in value and " " not in value:
+        return str(value)
 
 
 class _Builder:
     """Validates and indexes scene-graph records. A record with a missing or
     non-str/int id, an image or region id that holds a tab or a space, a name
     that is not a string or has no lemma, or attributes that are not a list
-    of strings is skipped and counted."""
+    of strings is skipped and counted. A loader checks an image's id once, with `_id`."""
 
     def __init__(self, lemma_table, stopwords):
         self.stopwords = stopwords
         self.oa = {}  # object -> {attribute -> [image, region, ...]}, a pair string after finish()
-        self.relationships = []  # [image, subject, predicate, object], sorted in finish()
+        self.relations = {}  # subject -> {object -> [image, predicate, ...]}, likewise
         self.skipped = 0
         self._lemmas = {}  # attribute phrase -> its lemmas
         self.names = Lemmas(lemma_table)  # object, subject or predicate name -> its lemma
@@ -134,13 +129,12 @@ class _Builder:
     def _lemma(self, name):
         return self.names[name] if type(name) is str else None
 
-    def add_region(self, image_id, region_id, object_name, attributes):
-        obj = self._lemma(object_name)
-        if obj is None or not _is_region_id(image_id) or not _is_region_id(region_id) \
+    def add_region(self, image, region_id, object_name, attributes):
+        obj, region = self._lemma(object_name), (image, _id(region_id))  # shared by its pairs
+        if obj is None or None in region \
                 or type(attributes) is not list or not all(type(a) is str for a in attributes):
             self.skipped += 1
             return
-        region = (str(image_id), str(region_id))  # its ids, shared by the region's pairs
         for attr in attributes:
             # attribute phrases split into tokens, each indexed separately
             if attr not in self._lemmas:
@@ -148,24 +142,27 @@ class _Builder:
             for lemma in self._lemmas[attr]:
                 self.oa.setdefault(obj, {}).setdefault(lemma, []).extend(region)
 
-    def add_relationship(self, image_id, subject, predicate, object_name):
-        rel = [str(image_id), self._lemma(subject), self._lemma(predicate), self._lemma(object_name)]
-        if None in rel or not _is_region_id(image_id):
+    def add_relationship(self, image, subject, predicate, object_name):
+        names = self._lemma(subject), self._lemma(predicate), self._lemma(object_name)
+        if image is None or None in names:
             self.skipped += 1
-            return
-        self.relationships.append(rel)
+        elif names[0] != names[2]:  # a self-relationship never grounds
+            group = self.relations.setdefault(names[0], {}).setdefault(names[2], [])
+            group.extend((image, names[1]))
 
     def finish(self):
-        for attrs in self.oa.values():
-            for attribute, regions in attrs.items():
-                if len(regions) > 2:  # one region is sorted and unique as it is
-                    # dedup in arrival order, mostly sorted already, so the sort is cheap
-                    pairs = sorted(dict.fromkeys(zip(regions[::2], regions[1::2])))
-                    attrs[attribute] = " ".join(map("\t".join, pairs))
-                else:
-                    attrs[attribute] = "\t".join(regions)
-        self.relationships.sort()
-        return VisualStore(self.oa, self.relationships, skipped=self.skipped)
+        subjects_of = {}
+        for subject, objects in sorted(self.relations.items()):
+            for obj in objects:
+                subjects_of.setdefault(obj, []).append(subject)
+        for groups in (*self.oa.values(), *self.relations.values()):
+            for key, flat in groups.items():  # [a, b, a, b, ...] as "a<TAB>b a<TAB>b ..."
+                # its (a, b) pairs sorted as tuples and unique: one pair is so as it is;
+                # more are deduplicated in arrival order, mostly sorted, so the sort is cheap
+                groups[key] = "\t".join(flat) if len(flat) == 2 else \
+                    " ".join(map("\t".join, sorted(dict.fromkeys(zip(flat[::2], flat[1::2])))))
+        subjects_of = {obj: " ".join(subjects) for obj, subjects in subjects_of.items()}
+        return VisualStore(self.oa, self.relations, subjects_of, self.skipped)
 
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
@@ -274,7 +271,7 @@ def _load_visual_genome(images, builder):
         if type(image) is not dict:
             builder.skipped += 1
             continue
-        image_id = image.get("image_id", image.get("id"))
+        image_id = _id(image.get("image_id", image.get("id")))
         for obj in _list(image, "objects", builder):
             obj = obj if type(obj) is dict else {}  # skipped for want of a name
             builder.add_region(image_id, obj.get("object_id", obj.get("id")), _vg_name(obj),
@@ -297,10 +294,10 @@ def _load_jsonl(fh, path, builder):
         if type(obj) is not dict:
             builder.skipped += 1
         elif "region" in obj and "object" in obj:
-            builder.add_region(obj.get("image"), obj["region"], obj["object"],
+            builder.add_region(_id(obj.get("image")), obj["region"], obj["object"],
                                obj.get("attributes", []))
         elif "subject" in obj and "predicate" in obj:
-            builder.add_relationship(obj.get("image"), obj["subject"], obj["predicate"],
+            builder.add_relationship(_id(obj.get("image")), obj["subject"], obj["predicate"],
                                      obj.get("object"))
         else:
             builder.skipped += 1

@@ -195,10 +195,10 @@ def random_stores(rng, lemma_table, stopwords):
 
     builder = visual._Builder(lemma_table, stopwords)
     for i in range(rng.randint(0, 20)):
-        builder.add_region(rng.randint(1, 5), i, rng.choice(nouns),
+        builder.add_region(str(rng.randint(1, 5)), i, rng.choice(nouns),
                            [rng.choice(attrs) for _ in range(rng.randint(0, 2))])
     for _ in range(rng.randint(0, 5)):
-        builder.add_relationship(rng.randint(1, 5), rng.choice(nouns), "near",
+        builder.add_relationship(str(rng.randint(1, 5)), rng.choice(nouns), "near",
                                  rng.choice(nouns))
     vstore = builder.finish()
     return StoreSet(dstore, cstore, vstore), nouns, attrs

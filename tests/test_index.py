@@ -151,7 +151,7 @@ def test_failed_atomic_open_keeps_old_file(tmp_path):
 @pytest.mark.parametrize("store,key", [
     ("definition_store", "records"), ("definition_store", "supertype_edges"),
     ("ckg_store", "edges"), ("ckg_store", "skipped"),
-    ("visual_store", "oa_index"), ("visual_store", "relationships"),
+    ("visual_store", "oa_index"), ("visual_store", "relations"), ("visual_store", "subjects_of"),
 ])
 def test_index_of_another_layout_fails_at_load(request, store, key):
     from discrimattr import CkgStore, VisualStore

@@ -1,11 +1,13 @@
+import copy
 import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discrimattr.errors import DataFormatError
+from discrimattr.index import dump_json, load_json
 from discrimattr.types import MembershipResult
 from discrimattr.visual import (RegionEvidence, VisualStore, _ArrayReader, _Builder,
                                 _load_visual_genome, load_scene_graphs)
@@ -67,7 +69,7 @@ def test_threshold_monotonicity(visual_store, lemma_table, stopwords):
 
 def test_sor_superset(visual_store, lemma_table, stopwords):
     pairs = pairs_of(scene_regions(), lemma_table, stopwords)
-    objects = set(visual_store.sor_index) | {o for o, _ in pairs}
+    objects = set(visual_store.relations) | set(visual_store.subjects_of) | {o for o, _ in pairs}
     attrs = {a for _, a in pairs}
     for o in objects:
         for a in attrs:
@@ -76,18 +78,16 @@ def test_sor_superset(visual_store, lemma_table, stopwords):
             assert with_sor or not without
 
 
-def test_sor_index_is_derived_at_the_first_sor_query(visual_store, data_dir, lemma_table,
-                                                      stopwords):
-    built = load_scene_graphs([data_dir / "scene_relationships.jsonl"], lemma_table, stopwords)
-    assert "sor_index" not in vars(built)  # `build` never asks it
+def test_no_query_changes_the_store(visual_store):
+    # the store answers SOR from the form it was loaded in, and derives nothing
     store = VisualStore.from_dict(json.loads(json.dumps(visual_store.to_dict())))
-    lion, whisker = term("lion"), term("whiskers", "whisker")
-    assert "sor_index" not in vars(store)
-    store.has_property(lion, whisker)
-    assert "sor_index" not in vars(store)
-    store.has_property(lion, whisker, use_sor=True)
-    assert vars(store)["sor_index"] == visual_store.sor_index
-    assert visual_store.sor_index  # the fixtures relate objects, so the index is not empty
+    before = copy.deepcopy(vars(store))
+    for o, a in [("window", "round"), ("table", "round"), ("tree", "tall"), ("lion", "whisker")]:
+        for use_sor in (False, True):
+            store.has_property(term(o), term(a), use_sor=use_sor)
+            store.holds(term(o), term(a), use_sor=use_sor)
+    assert vars(store) == before
+    assert store.to_dict() == visual_store.to_dict()
 
 
 def test_oracle_equivalence(visual_store, lemma_table, stopwords):
@@ -116,7 +116,7 @@ def test_visual_genome_format(data_dir, lemma_table, stopwords):
     )
     assert len(regions_of(store, "cat", "whisker")) == 1
     assert len(regions_of(store, "table", "round")) == 1
-    assert "apple" in store.sor_index and "table" in store.sor_index
+    assert (store.relations, store.subjects_of) == ({"apple": {"table": "102\ton"}}, {"table": "apple"})
     # SOR: apple is on the round table in image 102
     assert store.has_property(term("apple"), term("round"), use_sor=True).member
 
@@ -174,7 +174,7 @@ def test_non_object_jsonl_record_skipped(tmp_path, lemma_table, stopwords, recor
     assert len(regions_of(store, "cat", "black")) == 1
     assert store.skipped == 1
     assert {o: list(attrs) for o, attrs in store.oa_index.items()} == {"cat": ["black"]}
-    assert store.relationships == []
+    assert (store.relations, store.subjects_of) == ({}, {})
 
 
 @pytest.mark.parametrize("images,skipped", [
@@ -214,7 +214,7 @@ def test_non_object_visual_genome_record_skipped(tmp_path, lemma_table, stopword
     assert len(regions_of(store, "cat", "black")) == 1
     assert store.skipped == skipped
     assert {o: list(attrs) for o, attrs in store.oa_index.items()} == {"cat": ["black"]}
-    assert store.relationships == []
+    assert (store.relations, store.subjects_of) == ({}, {})
 
 
 # ids a pair string holds as they are: ints, strings with neither a tab nor a
@@ -334,9 +334,9 @@ def test_only_the_answers_pair_string_is_split(visual_store, lemma_table, stopwo
 
     store = VisualStore({o: {a: Recorded(regions) for a, regions in attrs.items()}
                          for o, attrs in visual_store.oa_index.items()},
-                        visual_store.relationships)
+                        visual_store.relations, visual_store.subjects_of)
     pairs = pairs_of(scene_regions(), lemma_table, stopwords)
-    objects = set(store.sor_index) | {o for o, _ in pairs}
+    objects = set(store.relations) | set(store.subjects_of) | {o for o, _ in pairs}
     for o in objects:
         for a in {a for _, a in pairs}:
             for min_count in (1, 2):
@@ -351,16 +351,17 @@ def test_only_the_answers_pair_string_is_split(visual_store, lemma_table, stopwo
                 splits.clear()
 
 
-def _sor_scan(regions, relationships, o, a, min_count):
-    """`has_property(o, a, min_count, use_sor=True)` by brute force from the
-    region and relationship records, whose names are their own lemmas: the
-    direct regions, else the first relationship naming `o`, in sorted order,
-    whose other endpoint has at least `min_count` regions with `a` in that image."""
+def _scan(regions, relationships, o, a, min_count, use_sor):
+    """`has_property(o, a, min_count, use_sor)` by brute force from the region
+    and relationship records, whose names are their own lemmas: the direct
+    regions, else, with use_sor, the first relationship naming `o` in the
+    sorted list of them all, whose other endpoint has at least `min_count`
+    regions with `a` in that image."""
     pairs = pairs_of(regions, {}, set())
     direct = pairs.get((o, a), [])
     if len(direct) >= min_count:
         return MembershipResult(True, (RegionEvidence(o, a, direct),))
-    for rel in sorted([str(image), *names] for image, *names in relationships):
+    for rel in sorted([str(image), *names] for image, *names in relationships) if use_sor else ():
         image, subject, _, object_ = rel
         for other in (subject, object_) if o in (subject, object_) else ():
             found = [r for r in pairs.get((other, a), []) if r[0] == image]
@@ -370,17 +371,31 @@ def _sor_scan(regions, relationships, o, a, min_count):
 
 
 # image ids that sort differently as strings and as numbers, one that ends
-# others ("0"), and region ids that equal an image id
-sor_images = st.sampled_from(["9", "10", "100", "0"])
+# others ("0"), one that sorts after "1" as a tuple but before "1<TAB>" as a
+# string ("1\x01"), and region ids that equal an image id
+sor_images = st.sampled_from(["9", "10", "100", "0", "1", "1\x01"])
+sor_objects = objects + ["dog", "box"]
+# "cat" is drawn in most relationships, at either end, so it relates to many others
+related = st.one_of(st.just("cat"), st.sampled_from(sor_objects))
 
 
-@given(st.lists(st.tuples(sor_images, st.sampled_from(["1", "9", "10"]), st.sampled_from(objects),
-                          st.lists(st.sampled_from(attributes), max_size=2)), max_size=12),
-       st.lists(st.tuples(sor_images, st.sampled_from(objects), st.sampled_from(["on", "by"]),
-                          st.sampled_from(objects)), max_size=8))
-def test_sor_answers_like_a_scan_of_the_relationships(regions, relationships):
+@given(st.lists(st.tuples(sor_images, st.sampled_from(["1", "9", "10"]),
+                          st.sampled_from(sor_objects),
+                          st.lists(st.sampled_from(attributes), min_size=1, max_size=2)),
+                max_size=30),
+       st.lists(st.tuples(sor_images, related, st.sampled_from(["on", "by"]), related),
+                max_size=12))
+# Each example writes and reads an index file, so its time follows the disk's, not
+# only the code's: no deadline. The smallest grounding relationship is not in the
+# first group that grounds ("cat"), nor in the last ("x").
+@settings(deadline=None)
+@example(regions=[("9", "1", "dog", ["black"]), ("0", "1", "box", ["black"]),
+                  ("9", "9", "box", ["black"]), ("0", "9", "mat", ["black"])],
+         relationships=[("9", "cat", "on", "dog"), ("0", "box", "on", "cat"),
+                        ("0", "x", "on", "mat"), ("9", "box", "on", "x")])
+def test_sor_answers_like_a_scan_of_the_relationships(tmp_path_factory, regions, relationships):
     regions = regions + regions[:2]  # some regions repeated
-    # related objects repeat, and one relationship relates an object to itself
+    # some relationships repeated, and one relates an object to itself
     relationships = relationships + relationships[:2] + [("10", "cat", "by", "cat")]
     builder = _Builder({}, set())
     for region in regions:
@@ -388,11 +403,18 @@ def test_sor_answers_like_a_scan_of_the_relationships(regions, relationships):
     for rel in relationships:
         builder.add_relationship(*rel)
     store = builder.finish()
-    for o in objects + ["dog"]:
+    path = tmp_path_factory.getbasetemp() / "visual.index.json"  # replaced by each example
+    dump_json(store.to_dict(), path)
+    reloaded = VisualStore.from_dict(load_json(path))
+    before = copy.deepcopy(vars(store)), copy.deepcopy(vars(reloaded))
+    for o in sor_objects + ["lion"]:
         for a in attributes:
             for min_count in (1, 2, 3):
-                assert store.has_property(term(o), term(a), min_count, use_sor=True) == \
-                    _sor_scan(regions, relationships, o, a, min_count)
+                for use_sor in (False, True):
+                    expected = _scan(regions, relationships, o, a, min_count, use_sor)
+                    assert store.has_property(term(o), term(a), min_count, use_sor) == expected
+                    assert reloaded.has_property(term(o), term(a), min_count, use_sor) == expected
+    assert (vars(store), vars(reloaded)) == before  # no query derives or caches anything
 
 
 def _streamed(text, chunk_size):
@@ -462,19 +484,17 @@ def test_streamed_visual_genome_builds_the_same_store(data_dir, lemma_table, sto
 
 def test_index_form_is_the_store_form(visual_store):
     data = visual_store.to_dict()
-    assert data["oa_index"] is visual_store.oa_index
-    assert data["relationships"] is visual_store.relationships
     reloaded = VisualStore.from_dict(data)
-    assert reloaded.oa_index is visual_store.oa_index
-    assert reloaded.relationships is visual_store.relationships
-    assert visual_store.relationships == [["3", "man", "under", "tree"],
-                                          ["4", "window", "above", "table"]]
+    for key in ("oa_index", "relations", "subjects_of"):
+        assert data[key] is getattr(visual_store, key) is getattr(reloaded, key)
+    assert visual_store.relations == {"man": {"tree": "3\tunder"}, "window": {"table": "4\tabove"}}
+    assert visual_store.subjects_of == {"tree": "man", "table": "window"}
     assert visual_store.oa_index["cat"]["whisker"] == "2\t1 2\t2 3\t1"
 
 
 def test_region_list_shared_by_its_pairs():
     builder = _Builder({}, set())
-    builder.add_region(1, 2, "table", ["light brown"])
+    builder.add_region("1", 2, "table", ["light brown"])
     store = builder.finish()
     # each pair that names the region holds it in its own string
     assert store.oa_index == {"table": {"light": "1\t2", "brown": "1\t2"}}
